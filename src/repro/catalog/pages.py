@@ -27,10 +27,11 @@ generator, loader, and storage layers all consult
 from __future__ import annotations
 
 import itertools
-import os
 import typing
 
 import numpy as np
+
+from repro.flags import env_flag
 
 Row = typing.Tuple
 #: numpy arrays are opaque to the type checker (no bundled stubs).
@@ -40,7 +41,7 @@ Array = typing.Any
 def columnar_enabled() -> bool:
     """Is the columnar relation representation on?  ``REPRO_COLUMNAR``
     defaults to on; ``=0`` restores tuple-list fragments."""
-    return os.environ.get("REPRO_COLUMNAR", "1") != "0"
+    return env_flag("REPRO_COLUMNAR", True)
 
 
 class ConstColumn:

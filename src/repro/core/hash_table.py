@@ -37,7 +37,6 @@ cutoff" holds symmetrically on both sides — no result is ever lost
 from __future__ import annotations
 
 import math
-import os
 import typing
 
 import numpy as np
@@ -57,22 +56,13 @@ HISTOGRAM_BINS = 128
 CLEAR_FRACTION = 0.10
 
 
-def _probe_arena_min_rows() -> int:
-    """Probe pages below this row count drop the table to scalar
-    chains.  The arena's sorted-range probe amortizes its gather over
-    the rows of each incoming page; tiny network packets (the
-    small-scale figure-5 points route 9-tuple pages) never recoup it,
-    so the first undersized probe page materializes the chains once
-    and every later probe walks them scalar — bit-identical either
-    way.  Override with ``REPRO_PROBE_ARENA_MIN_ROWS`` (0 disables)."""
-    raw = os.environ.get("REPRO_PROBE_ARENA_MIN_ROWS", "").strip()
-    try:
-        return int(raw) if raw else 32
-    except ValueError:
-        return 32
-
-
-PROBE_ARENA_MIN_ROWS = _probe_arena_min_rows()
+#: Probe pages below this row count drop the table to scalar chains.
+#: The arena's sorted-range probe amortizes its gather over the rows of
+#: each incoming page; tiny network packets (the small-scale figure-5
+#: points route 9-tuple pages) never recoup it, so the first undersized
+#: probe page materializes the chains once and every later probe walks
+#: them scalar — bit-identical either way.
+PROBE_ARENA_MIN_ROWS = 32
 
 
 class JoinOverflowError(RuntimeError):

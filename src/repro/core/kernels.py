@@ -40,7 +40,6 @@ are counted in :class:`DataPlaneCounters`.
 
 from __future__ import annotations
 
-import os
 import typing
 
 import numpy as np
@@ -48,6 +47,7 @@ import numpy as np
 from repro import hashing
 from repro.catalog.pages import ColumnPage
 from repro.core import backend
+from repro.flags import env_flag
 from repro.engine.operators.scan import constant_page_cost
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,7 +65,7 @@ Array = typing.Any
 def vector_enabled() -> bool:
     """Is the vectorized data plane on?  ``REPRO_VECTOR`` defaults to
     on; ``REPRO_VECTOR=0`` restores the scalar per-row path."""
-    return os.environ.get("REPRO_VECTOR", "1") != "0"
+    return env_flag("REPRO_VECTOR", True)
 
 
 class DataPlaneCounters:

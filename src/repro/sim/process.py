@@ -40,8 +40,7 @@ class ProcessCrash(RuntimeError):
 class Process(Event):
     """A running simulated process (also an event: fires on completion)."""
 
-    __slots__ = ("generator", "name", "crash_error", "_send",
-                 "audit_label")
+    __slots__ = ("generator", "name", "crash_error", "_send")
 
     def __init__(self, sim: "Simulator", generator: typing.Generator,
                  name: str | None = None) -> None:
@@ -56,10 +55,6 @@ class Process(Event):
         #: event, so the per-call bound-method lookup is hoisted here.
         self._send = generator.send
         self.name = name or getattr(generator, "__name__", "process")
-        #: Precomputed tie-audit label (see repro.analysis.audit
-        #: .event_label) — resumes of this process are labelled at
-        #: kernel rate by the cohort-fire gate.
-        self.audit_label = f"{type(self).__name__.lower()}:{self.name}"
         self.crash_error: ProcessCrash | None = None
         # Kick off the process at the current instant.
         start = Event(sim)

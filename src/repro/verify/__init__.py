@@ -26,19 +26,21 @@ hot paths see only a ``monitor is None`` test, so the default
 configuration pays nothing.
 
 This module deliberately imports nothing from the rest of the package
-at import time — :mod:`repro.sim.engine` and
-:mod:`repro.engine.machine` import it to read the gate.
+at import time beyond the leaf :mod:`repro.flags` —
+:mod:`repro.sim.engine` and :mod:`repro.engine.machine` import it to
+read the gate.
 """
 
 from __future__ import annotations
 
-import os
 import typing
+
+from repro.flags import env_flag
 
 
 def verify_enabled() -> bool:
     """Is runtime conformance checking requested? (``REPRO_VERIFY=1``)"""
-    return os.environ.get("REPRO_VERIFY", "0") not in ("", "0")
+    return env_flag("REPRO_VERIFY", False)
 
 
 class ConformanceError(AssertionError):

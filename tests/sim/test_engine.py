@@ -1,10 +1,16 @@
 """Unit tests for the Simulator event loop."""
 
+import contextlib
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
 from repro.sim.events import PRIORITY_URGENT
+from repro.sim.resources import Resource, Store
 
 
 def test_clock_starts_at_zero(sim):
@@ -114,3 +120,98 @@ def test_large_heap_order():
             lambda e, d=delay: fired.append(d))
     sim.run()
     assert fired == sorted(delays) == sorted(fired)
+
+
+# ---------------------------------------------------------------------------
+# Trace property: every way of driving the kernel fires the same events
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def fastpath_env(value):
+    """Pin ``REPRO_FASTPATH`` (monkeypatch mixes badly with @given)."""
+    saved = os.environ.get("REPRO_FASTPATH")
+    os.environ["REPRO_FASTPATH"] = value
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_FASTPATH", None)
+        else:
+            os.environ["REPRO_FASTPATH"] = saved
+
+
+def run_traced(plan, drive, fastpath="1"):
+    """Run one randomized workload, returning its full event trace.
+
+    ``drive`` runs the built simulator to completion; the trace holds
+    ``(repr(now), pid, step)`` per process step (plus the item of each
+    store get), the final clock and the kernel's fire count.
+    """
+    with fastpath_env(fastpath):
+        sim = Simulator()
+    resources = [Resource(sim, capacity=1 + index % 2,
+                          name=f"res-{index}") for index in range(2)]
+    stores = [Store(sim, name=f"store-{index}") for index in range(2)]
+    trace: list = []
+
+    def body(pid, actions):
+        for step, action in enumerate(actions):
+            tag = action[0]
+            if tag == "timeout":
+                yield sim.timeout(action[1])
+            elif tag == "use":
+                yield from resources[action[1]].use(action[2])
+            elif tag == "put":
+                stores[action[1]].put((pid, step))
+                yield sim.timeout(0.0)
+            else:  # "get"
+                item = yield stores[action[1]].get()
+                trace.append((repr(sim.now), pid, step, "got", item))
+            trace.append((repr(sim.now), pid, step))
+
+    for pid, actions in enumerate(plan):
+        sim.process(body(pid, actions), name=f"proc-{pid}")
+    drive(sim)
+    return trace, repr(sim.now), sim.events_fired, sim.fastpath_holds
+
+
+def drive_step(sim):
+    while sim.queued_events:
+        sim.step()
+
+
+def drive_until(until):
+    def drive(sim):
+        sim.run(until=until)
+        sim.run()
+    return drive
+
+
+action_strategy = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+    st.tuples(st.just("use"), st.sampled_from((0, 1)),
+              st.sampled_from((0.25, 1.0))),
+    st.tuples(st.just("put"), st.sampled_from((0, 1))),
+    st.tuples(st.just("get"), st.sampled_from((0, 1))),
+)
+
+plan_strategy = st.lists(
+    st.lists(action_strategy, min_size=1, max_size=6),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=plan_strategy,
+       until=st.sampled_from((0.0, 0.5, 1.25, 3.0, 100.0)))
+def test_run_loops_fire_identical_traces(plan, until):
+    """Inlined run(), a step() loop, a bounded-then-resumed run() and
+    the classic kernel (``REPRO_FASTPATH=0``) agree bit for bit on
+    tie-dense plans.  The classic kernel fires each grant-and-hold
+    event as a separate grant and timeout, so its fire count is the
+    fast path's plus the hold re-keys."""
+    trace, now, fired, holds = run_traced(plan, Simulator.run)
+    assert run_traced(plan, drive_step) == (trace, now, fired, holds)
+    assert run_traced(plan, drive_until(until)) == (trace, now, fired,
+                                                    holds)
+    classic = run_traced(plan, Simulator.run, fastpath="0")
+    assert classic == (trace, now, fired + holds, 0)
