@@ -196,120 +196,6 @@ def time_columnar_fig5_point(scale: float) -> dict:
     return out
 
 
-def time_compiled(reps: int, scale: float) -> dict | None:
-    """Interleaved A/B of the compiled kernel backend
-    (``REPRO_COMPILED``, DESIGN.md §15).
-
-    Three workloads under the compiled engine and the numpy fallback,
-    reps interleaved arm-by-arm so clock drift and cache warmth hit
-    both arms alike:
-
-    * raw dispatched kernels at 1M elements — the route-plan chain
-      (hash/remix/filter/marks/split) where the compiled engines'
-      single-pass loops and counting sort separate hardest from the
-      fallback's chained numpy temporaries, plus ``arena_ranges``
-      recorded separately because it is an honest near-parity case
-      (both sides lean on a real sort);
-    * the figure-5 sweep at ``--scale``;
-    * one 256-node scale-out point (hybrid, modern-2018 + fabric) —
-      the large-N control plane the flattened EOS fan-out targets.
-
-    Every simulated output must be bit-identical across arms — only
-    wall-clock may differ.  Engine activation (including the one-time
-    warmup/compile) happens before the timed region of each arm, the
-    same steady state a long sweep runs in.
-    """
-    try:
-        from repro.core import backend
-    except ImportError:
-        return None  # revision predates the compiled backend
-    import numpy as np
-
-    probes = backend.available_engines()
-    out: dict = {"engines": probes}
-    if not any(status == "ok" for status in probes.values()):
-        out["note"] = "no compiled engine loadable; A/B arms skipped"
-        return out
-
-    arms = {"compiled": "1", "fallback": "0"}
-    rng = np.random.default_rng(7)
-    n = 1 << 20
-    values = rng.integers(0, 2**64, n, dtype=np.uint64)
-    groups = rng.integers(0, 64, n).astype(np.int64)
-    hashes = rng.integers(0, 2**32, n).astype(np.int64)
-
-    def route_plan() -> tuple:
-        codes = backend.hash_avalanche(values, 2654435761)
-        mixed = backend.remix(codes)
-        slots = backend.filter_slots(mixed, 1 << 16)
-        word = backend.marks_word_bytes(slots[:4096], 1 << 16)
-        order, starts, ends, segs = backend.split_groups(groups, 64)
-        return (int(codes[-1]), int(slots[-1]), len(word),
-                int(order[-1]), len(starts), int(segs[-1]))
-
-    def arena() -> tuple:
-        order, starts, ends, keys, max_chain = backend.arena_ranges(
-            hashes)
-        return (int(order[-1]), len(starts), int(keys[0]), max_chain)
-
-    def figure5() -> list:
-        from repro.experiments import figures
-        from repro.experiments.config import ExperimentConfig
-        outcome = figures.figure5(ExperimentConfig(scale=scale, seed=1))
-        return [(series.label,
-                 [(point.x, repr(point.response_time))
-                  for point in series.points])
-                for series in outcome.series]
-
-    def scaleout_256() -> list:
-        from repro.experiments.scaleout import (
-            ScaleoutConfig,
-            run_scaleout,
-        )
-        sample = run_scaleout(ScaleoutConfig(
-            profile="modern-2018", topology="fabric", nodes=(256,),
-            base_scale=0.1, sweeps=("speedup",),
-            algorithms=("hybrid",)))
-        return [(entry["nodes"], repr(entry["response_time"]))
-                for entry in sample["curves"]["speedup"]["hybrid"]]
-
-    workloads = {"route_plan_1m": route_plan, "arena_ranges_1m": arena,
-                 "figure5": figure5, "scaleout_256": scaleout_256}
-    times: dict = {name: {arm: [] for arm in arms}
-                   for name in workloads}
-    digests: dict = {name: {} for name in workloads}
-    try:
-        out["engine"] = backend.activate("1")
-        for workload in workloads.values():
-            workload()  # warm once: imports, allocator, jit cache
-        for _ in range(reps):
-            for arm, mode in arms.items():
-                backend.activate(mode)
-                for name, workload in workloads.items():
-                    started = time.perf_counter()
-                    digest = workload()
-                    times[name][arm].append(
-                        time.perf_counter() - started)
-                    if name in digests and arm in digests[name] \
-                            and digests[name][arm] != digest:
-                        raise AssertionError(
-                            f"{name}/{arm} digest drifted across reps")
-                    digests[name][arm] = digest
-    finally:
-        backend.activate()  # restore the ambient REPRO_COMPILED choice
-    for name in workloads:
-        if digests[name]["compiled"] != digests[name]["fallback"]:
-            raise AssertionError(
-                f"compiled arm diverged from fallback on {name}: "
-                f"{digests[name]['compiled']} != "
-                f"{digests[name]['fallback']}")
-        entry = {arm: _summary(times[name][arm]) for arm in arms}
-        entry["speedup_min"] = round(
-            entry["fallback"]["min_s"] / entry["compiled"]["min_s"], 2)
-        out[name] = entry
-    return out
-
-
 def time_scaleout(reps: int) -> dict | None:
     """Interleaved A/B of the scale-out sweep driver across hardware
     models: a small speedup sweep (hybrid, 8 -> 16 nodes) on
@@ -400,9 +286,6 @@ def main(argv: list | None = None) -> int:
     scaleout = time_scaleout(args.reps)
     if scaleout is not None:
         sample["scaleout_microbench"] = scaleout
-    compiled = time_compiled(args.reps, args.scale)
-    if compiled is not None:
-        sample["compiled_microbench"] = compiled
     for jobs in args.jobs:
         timing = time_figure5(args.scale, jobs, args.reps)
         if timing is not None:

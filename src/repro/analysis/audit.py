@@ -54,6 +54,8 @@ import os
 import re
 import typing
 
+from repro.flags import audit_mode
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.events import Event
 
@@ -150,8 +152,7 @@ class TieAuditor:
         raw = os.environ.get("REPRO_AUDIT_ALLOW", "")
         patterns = [part.strip() for part in raw.split(";")
                     if part.strip()]
-        mode = os.environ.get("REPRO_AUDIT", "").strip().lower()
-        return cls(patterns, reverse_ties=(mode == "reverse"))
+        return cls(patterns, reverse_ties=(audit_mode() == "reverse"))
 
     # -- recording (hot path while auditing) ----------------------------
 

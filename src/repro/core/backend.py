@@ -1,26 +1,25 @@
-"""Reference (numpy / pure-python) kernel implementations.
+"""The data plane's numpy kernels.
 
-This module is the semantic contract of the compiled backend: every
-engine in :mod:`repro.core.backend` must reproduce these functions
-bit-for-bit on every input (property-tested in
-``tests/core/test_backend_parity.py``).  The implementations are the
-numpy paths that previously lived inline in :mod:`repro.core.kernels`
-and :mod:`repro.core.hash_table` — moving them here changed no
-arithmetic.
-
-Exactness notes, per kernel:
+Every per-element pass over a whole page — key hashing, bit-filter
+slot math, route-plan group splitting, hash-table arena indexing — is
+one function here, called directly by :mod:`repro.core.kernels` and
+:mod:`repro.core.hash_table`.  Each is bit-identical to the scalar
+path it batches (property-tested against :mod:`repro.hashing` and the
+scalar data plane in ``tests/core/test_kernels.py``, and against
+per-element reference loops in ``tests/core/test_backend_parity.py``):
 
 * ``hash_avalanche`` / ``hash_legacy`` / ``remix`` / ``filter_slots``
-  — uint64 arithmetic wraps modulo 2**64; every intermediate of the
-  32-bit hash pipeline fits exactly, so C/njit ``uint64_t`` mirrors
-  are trivially identical.
-* ``split_groups`` / ``arena_ranges`` — a *stable* sort fully
-  determines its permutation (equal keys keep input order), so any
-  stable algorithm — numpy's radix/merge argsort here, a counting or
-  merge sort in the compiled engines — produces the identical
-  ``order`` array.
+  — uint64 arithmetic wraps modulo 2**64, which is congruent modulo
+  2**32 to Python's arbitrary-precision result, so the masked 32-bit
+  codes match the scalar hashes for any 64-bit input.
+* ``split_groups`` / ``arena_ranges`` — a *stable* sort keeps equal
+  keys in input order, so each group or hash range lists its rows in
+  exactly the order the scalar router or hash chain would.
 * ``marks_word_bytes`` / ``unpack_bits`` — byte-for-byte bit layout
-  (little-endian within each byte), directly comparable.
+  (little-endian within each byte) of the scalar int bitset.
+
+Every kernel call bumps the module counter :data:`calls`, which
+``--profile`` reports as ``be_fallback_calls``.
 """
 
 from __future__ import annotations
@@ -33,31 +32,31 @@ Array = typing.Any
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 
-#: Kernel names every engine is probed for (the dispatch table).
-KERNELS = (
-    "hash_avalanche",
-    "hash_legacy",
-    "remix",
-    "filter_slots",
-    "split_groups",
-    "arena_ranges",
-    "marks_word_bytes",
-    "unpack_bits",
-)
+#: Kernel calls made by this process (machines report deltas).
+calls = 0
+
+
+def activate() -> str:
+    """Name the kernel engine.  There is only numpy, so nothing to
+    load; kept so benchmark harnesses can warm up uniformly."""
+    return "numpy"
 
 
 def hash_avalanche(values: Array, mult: int) -> Array:
     """``(v * mult) & 0xFFFFFFFF`` over a uint64 column."""
+    global calls
+    calls += 1
     return (values * np.uint64(mult)) & _MASK32
 
 
 def hash_legacy(values: Array, mult: int, offset: int) -> Array:
     """``(v * mult + offset) & 0xFFFFFFFF`` over a uint64 column."""
+    global calls
+    calls += 1
     return (values * np.uint64(mult) + np.uint64(offset)) & _MASK32
 
 
-def remix(hash_codes: Array) -> Array:
-    """The 32-bit finalizer of :func:`repro.hashing.remix`, batched."""
+def _remix(hash_codes: Array) -> Array:
     m = _MASK32
     z = (hash_codes + np.uint64(0x9E3779B9)) & m
     z = ((z ^ (z >> np.uint64(16))) * np.uint64(0x85EBCA6B)) & m
@@ -65,22 +64,30 @@ def remix(hash_codes: Array) -> Array:
     return z ^ (z >> np.uint64(16))
 
 
+def remix(hash_codes: Array) -> Array:
+    """The 32-bit finalizer of :func:`repro.hashing.remix`, batched."""
+    global calls
+    calls += 1
+    return _remix(hash_codes)
+
+
 def filter_slots(hash_codes: Array, num_bits: int) -> Array:
     """Filter bit index (``remix(h) % num_bits``) per hash code."""
-    return (remix(hash_codes) % np.uint64(num_bits)).astype(np.int64)
+    global calls
+    calls += 1
+    return (_remix(hash_codes) % np.uint64(num_bits)).astype(np.int64)
 
 
-def split_groups(groups: Array, n_groups: int
-                 ) -> tuple[Array, Array, Array, Array]:
+def split_groups(groups: Array) -> tuple[Array, Array, Array, Array]:
     """Stable group split of a destination column.
 
     Returns ``(order, starts, ends, seg_groups)``: ``order`` is the
     stable argsort of ``groups`` (equal groups keep input order) and
     ``starts[k]:ends[k]`` delimits the rows of group ``seg_groups[k]``
     within it, ascending by group id, empty groups omitted.
-    ``n_groups`` bounds the group ids (compiled engines counting-sort
-    on it); the result does not depend on it.
     """
+    global calls
+    calls += 1
     order = np.argsort(groups, kind="stable")
     sorted_groups = groups[order]
     n = len(groups)
@@ -99,6 +106,8 @@ def arena_ranges(hashes: Array) -> tuple[Array, Array, Array, Array, int]:
     exactly the tuples a scalar chain would hold, in insertion order);
     ``max_chain`` is the widest range.
     """
+    global calls
+    calls += 1
     order = np.argsort(hashes, kind="stable")
     sorted_hashes = hashes[order]
     n = len(hashes)
@@ -114,6 +123,8 @@ def arena_ranges(hashes: Array) -> tuple[Array, Array, Array, Array, int]:
 
 def marks_word_bytes(slots: Array, num_bits: int) -> bytes:
     """Little-endian byte image of a bitset with ``slots`` set."""
+    global calls
+    calls += 1
     marks = np.zeros(num_bits, dtype=np.uint8)
     marks[slots] = 1
     return np.packbits(marks, bitorder="little").tobytes()
@@ -121,6 +132,7 @@ def marks_word_bytes(slots: Array, num_bits: int) -> bytes:
 
 def unpack_bits(raw: bytes, num_bits: int) -> Array:
     """Bool-array view of a little-endian bitset image."""
+    global calls
+    calls += 1
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                          bitorder="little")[:num_bits].astype(bool)
-

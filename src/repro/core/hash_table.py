@@ -242,10 +242,10 @@ class JoinHashTable:
     def _arena_groups(self) -> dict[int, tuple[int, int]]:
         """Hash -> (start, end) ranges into the stable-sorted arena.
 
-        ``backend.arena_ranges`` uses a stable sort (numpy stable
-        argsort, or its compiled mirror), keeping equal hashes in
-        insertion order, so each range enumerates exactly the tuples a
-        scalar chain would hold, in the same order.
+        ``backend.arena_ranges`` uses numpy's stable argsort, keeping
+        equal hashes in insertion order, so each range enumerates
+        exactly the tuples a scalar chain would hold, in the same
+        order.
         """
         index = self._arena_index
         if index is None:

@@ -293,8 +293,7 @@ class RoutePlan:
         self.subset_rows = n
         if n:
             order, seg_starts, seg_ends, seg_groups = backend.split_groups(
-                np.ascontiguousarray(groups, dtype=np.int64),
-                len(dst_of_group))
+                np.ascontiguousarray(groups, dtype=np.int64))
             src = order if row_index is None else row_index[order]
             starts = seg_starts.tolist()
             ends = seg_ends.tolist()

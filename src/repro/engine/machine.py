@@ -86,9 +86,9 @@ class GammaMachine:
         from repro.hashing import KeyHashMemo
         self.dataplane = DataPlaneCounters()
         self.key_hash_memo = KeyHashMemo()
-        # Backend dispatch counters are process-global; snapshot them
-        # here so this machine reports per-run deltas.
-        self._backend_base = dict(backend.counters())
+        # The kernel call counter is process-global; snapshot it here
+        # so this machine reports per-run deltas.
+        self._kernel_calls_base = backend.calls
 
         # Runtime conformance monitor (REPRO_VERIFY=1; None — and free —
         # by default).  Lazy import: the monitor pulls in the reference
@@ -181,21 +181,18 @@ class GammaMachine:
     def dataplane_counters(self) -> dict[str, typing.Any]:
         """Vectorized data-plane statistics (``--profile`` reporting).
 
-        Includes the compiled-backend dispatch counters
-        (:func:`repro.core.backend.counters`): call counts as deltas
-        since this machine was built, plus the active engine name and
-        the process's one-time warmup seconds as-is.
+        ``be_fallback_calls`` counts numpy kernel calls
+        (:data:`repro.core.backend.calls`) since this machine was
+        built; ``be_compiled_calls`` is always 0 (there is no compiled
+        engine) and stays for reports that read it.
         """
         from repro.core import backend
         counters: dict[str, typing.Any] = self.dataplane.as_dict()
         counters["dp_hash_cache_hits"] = self.key_hash_memo.hits
         counters["dp_hash_cache_misses"] = self.key_hash_memo.misses
-        base = self._backend_base
-        for key, value in backend.counters().items():
-            if key in ("be_engine", "be_warmup_seconds"):
-                counters[key] = value
-            else:
-                counters[key] = value - base.get(key, 0)
+        counters["be_compiled_calls"] = 0
+        counters["be_fallback_calls"] = (
+            backend.calls - self._kernel_calls_base)
         return counters
 
     def cpu_utilisations(self) -> dict[str, float]:

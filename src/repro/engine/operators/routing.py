@@ -265,9 +265,8 @@ class Router:
         inlines the data-packet case — identical stats, charges and
         event order, two fewer generator frames per consumer.  Every
         producer closes one stream per consumer, so at N nodes a join
-        fans out O(N²) of these; collapsing the frames is the
-        control-plane half of the compiled-backend speedup
-        (DESIGN.md §15).
+        fans out O(N²) of these; collapsing the frames is what keeps
+        the large-N control plane cheap (DESIGN.md §15).
         """
         if self.closed:
             raise RuntimeError(f"double close of router {self.port!r}")

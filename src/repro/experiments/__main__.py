@@ -81,7 +81,6 @@ def _iter_sweep_points(outcome):
 def _kernel_summary(outcome) -> str | None:
     """Aggregate per-point kernel counters (profile mode only)."""
     totals: dict[str, int] = {}
-    labels: dict[str, set] = {}
     points = 0
     for point in _iter_sweep_points(outcome):
         if point.kernel_counters is None:
@@ -90,21 +89,14 @@ def _kernel_summary(outcome) -> str | None:
         for key, value in point.kernel_counters.items():
             if key.startswith("dp_"):
                 continue  # reported by _dataplane_summary
-            if isinstance(value, str):
-                # Mode labels (e.g. be_engine) aggregate as
-                # the set of distinct values, not a sum.
-                labels.setdefault(key, set()).add(value)
-            elif key in ("heap_peak", "be_warmup_seconds"):
-                # Peaks / one-time per-process costs: points sharing a
-                # process would double-count under a sum.
+            if key == "heap_peak":
+                # A peak, not a volume: a sum would mean nothing.
                 totals[key] = max(totals.get(key, 0), value)
             else:
                 totals[key] = totals.get(key, 0) + value
     if not points:
         return None
-    merged: dict[str, object] = dict(totals)
-    merged.update((k, "/".join(sorted(v))) for k, v in labels.items())
-    body = "  ".join(f"{k}={v}" for k, v in sorted(merged.items()))
+    body = "  ".join(f"{k}={v}" for k, v in sorted(totals.items()))
     return f"## kernel ({points} points): {body}"
 
 

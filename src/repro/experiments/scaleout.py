@@ -226,14 +226,9 @@ def run_scaleout(config: ScaleoutConfig) -> dict:
                  [algorithm]["response_time"] / t_base,
                  "ideal": factor}
                 for factor in config.size_factors]
-    # The kernel backend never changes a simulated result, but the
-    # wall-clock recorded alongside a sample is only comparable
-    # against samples that ran the same engine — stamp it.
-    from repro.core import backend
     return {
         "profile": resolve_profile_name(config.profile),
         "topology": resolve_topology_name(config.topology),
-        "kernel_backend": backend.engine_name(),
         "nodes": list(config.nodes),
         "base_scale": config.base_scale,
         "size_factors": list(config.size_factors),

@@ -45,10 +45,9 @@ from __future__ import annotations
 import collections
 import gc
 import heapq
-import os
 import typing
 
-from repro.flags import env_flag
+from repro.flags import audit_mode, env_flag
 from repro.sim.events import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
@@ -99,8 +98,7 @@ class Simulator:
         #: repro.analysis.audit).  Observes same-(time, priority) heap
         #: pops; never changes pop order.  Lazily imported so the
         #: analysis package costs nothing when auditing is off.
-        audit = os.environ.get("REPRO_AUDIT", "")
-        if audit and audit != "0":
+        if audit_mode() is not None:
             from repro.analysis.audit import TieAuditor
             self.auditor: TieAuditor | None = TieAuditor.from_env()
         else:

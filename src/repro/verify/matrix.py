@@ -45,8 +45,7 @@ MODES: tuple[tuple[int, int, int], ...] = tuple(
 @contextlib.contextmanager
 def mode_env(vector: int, fastpath: int,
              verify: bool = True,
-             columnar: int | None = None,
-             compiled: str | None = None) -> typing.Iterator[None]:
+             columnar: int | None = None) -> typing.Iterator[None]:
     """Pin the data-plane/fastpath/verify environment for one run.
 
     The flags are read at machine- and driver-construction time, so a
@@ -55,10 +54,7 @@ def mode_env(vector: int, fastpath: int,
     ``REPRO_COLUMNAR`` — note the relation *representation* is decided
     when a database is generated, so harnesses convert the database
     per combo (:meth:`WisconsinDatabase.with_representation`) rather
-    than relying on the flag alone.  ``compiled`` pins
-    ``REPRO_COMPILED`` — and, because backend activation is lazy and
-    process-global, also re-activates the kernel backend on entry and
-    restores the ambient selection on exit.
+    than relying on the flag alone.
     """
     desired = {
         "REPRO_VECTOR": str(vector),
@@ -67,13 +63,8 @@ def mode_env(vector: int, fastpath: int,
     }
     if columnar is not None:
         desired["REPRO_COLUMNAR"] = str(columnar)
-    if compiled is not None:
-        desired["REPRO_COMPILED"] = compiled
     saved = {key: os.environ.get(key) for key in desired}
     os.environ.update(desired)
-    if compiled is not None:
-        from repro.core import backend
-        backend.activate(compiled)
     try:
         yield
     finally:
@@ -82,8 +73,6 @@ def mode_env(vector: int, fastpath: int,
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
-        if compiled is not None:
-            backend.activate()
 
 
 def _phase_signature(result: typing.Any) -> list[tuple[str, str, str]]:
@@ -106,8 +95,6 @@ def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
     """
     from repro.experiments.runner import run_sweep_point
 
-    from repro.core import backend
-
     runs = []
     for vector, fastpath, columnar in MODES:
         mode_db = (db if db is None
@@ -119,29 +106,6 @@ def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
                                     configuration=configuration,
                                     **spec_kwargs)
         runs.append(((vector, fastpath, columnar), point))
-
-    # REPRO_COMPILED axis, availability-gated: when a compiled engine
-    # loads on this host, rerun a representative subset of the cube
-    # with the backend pinned both ways (the full 8 x 2 cube would
-    # double the harness for an axis whose kernels are already
-    # property-tested element-wise).  The subset covers the kernels'
-    # consumers: the reference combo (vector + columnar) and the
-    # vector/tuple-list combo.
-    compiled_modes: list[str] = []
-    if any(status == "ok"
-           for status in backend.available_engines().values()):
-        compiled_modes = ["0", "1"]
-        for compiled in compiled_modes:
-            for vector, fastpath, columnar in (MODES[0], (1, 1, 0)):
-                mode_db = (db if db is None
-                           else db.with_representation(bool(columnar)))
-                with mode_env(vector, fastpath, verify=True,
-                              columnar=columnar, compiled=compiled):
-                    point = run_sweep_point(config, mode_db, algorithm,
-                                            memory_ratio,
-                                            configuration=configuration,
-                                            **spec_kwargs)
-                runs.append(((vector, fastpath, columnar), point))
 
     (_, reference), *rest = runs
     ref_sig = _phase_signature(reference.result)
@@ -175,11 +139,7 @@ def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
         "memory_ratio": memory_ratio,
         "configuration": configuration,
         "response_time": reference.result.response_time,
-        # The base cube only; the compiled-axis reruns share mode
-        # tuples with it (they are the same combos pinned 0/1) and
-        # are reported via "compiled_modes".
-        "modes": [list(mode) for mode, _ in runs[:len(MODES)]],
-        "compiled_modes": compiled_modes,
+        "modes": [list(mode) for mode, _ in runs],
         "result": reference.result,
     }
 

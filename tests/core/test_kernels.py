@@ -5,7 +5,9 @@ equivalence with a scalar loop somewhere in the reproduction — hash
 codes, packet streams, filter bits and counters, hash-table state and
 probe CPU floats.  These tests check each claim element-for-element on
 randomized inputs, including the regimes the batch paths must refuse
-(string keys, pages straddling the overflow cutoff machinery).
+(string keys, pages straddling the overflow cutoff machinery) and the
+awkward inputs of the numpy kernels underneath (empty pages,
+all-duplicate keys, uint64 wraparound values).
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import hashing
+from repro.catalog.pages import ColumnPage
 from repro.core import kernels
 from repro.core.bit_filter import BitFilter, FilterBank
 from repro.core.hash_table import JoinHashTable
@@ -28,21 +31,39 @@ keys_strategy = st.lists(
     st.integers(min_value=-(2**40), max_value=2**40),
     min_size=0, max_size=200)
 
+U64 = 2**64
+#: Values at the uint64 / int64 wraparound boundaries.
+U64_EDGES = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, U64 - 1]
+I64_EDGES = [-(2**63), -(2**32), -1, 0, 1, 2**32, 2**63 - 1]
+
+u64_values = st.one_of(st.integers(0, U64 - 1), st.sampled_from(U64_EDGES))
+
+#: Integer key columns as a column page stores them — int64, or
+#: uint64 up to the wraparound — empty pages included.
+key_columns = st.one_of(
+    st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1),
+                       st.sampled_from(I64_EDGES)), max_size=200).map(
+        lambda vals: np.asarray(vals, dtype=np.int64)),
+    st.lists(u64_values, max_size=200).map(
+        lambda vals: np.asarray(vals, dtype=np.uint64)))
+
 
 # ---------------------------------------------------------------------------
 # hash_keys
 # ---------------------------------------------------------------------------
 
-@given(keys=st.lists(st.integers(min_value=-(2**40), max_value=2**40),
-                     min_size=1, max_size=200),
+@given(keys=st.one_of(
+           st.lists(st.integers(min_value=-(2**40), max_value=2**40),
+                    min_size=1, max_size=200),
+           key_columns),
        level=st.integers(0, 4),
        family=st.sampled_from(["avalanche", "legacy"]))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_hash_keys_matches_scalar_family(keys, level, family):
     arr = kernels.hash_keys(keys, level, family)
     assert arr is not None
     scalar = hashing.HASH_FAMILIES[family]
-    assert arr.tolist() == [scalar(k, level) for k in keys]
+    assert arr.tolist() == [scalar(int(k), level) for k in keys]
 
 
 def test_hash_keys_rejects_unvectorizable_columns():
@@ -59,23 +80,45 @@ def test_hash_keys_negative_level():
         kernels.hash_keys([1], -1)
 
 
-@given(codes=st.lists(st.integers(0, hashing.HASH_MODULUS - 1),
-                      min_size=1, max_size=200))
+@given(codes=st.lists(st.one_of(st.integers(0, hashing.HASH_MODULUS - 1),
+                                u64_values), max_size=200))
+@example(codes=[])
+@example(codes=U64_EDGES)
 @settings(max_examples=100, deadline=None)
 def test_remix_array_matches_scalar(codes):
     arr = kernels.remix_array(np.asarray(codes, dtype=np.uint64))
     assert arr.tolist() == [hashing.remix(c) for c in codes]
 
 
+def test_machine_counts_numpy_kernel_calls():
+    """``be_fallback_calls`` counts every numpy kernel call since the
+    machine was built; ``be_compiled_calls`` stays 0 (numpy is the only
+    engine, and ``activate`` only names it)."""
+    from repro.core import backend
+    from repro.engine.machine import GammaMachine
+
+    assert backend.activate() == "numpy"
+    machine = GammaMachine(num_disk_nodes=2)
+    kernels.remix_array(np.arange(5, dtype=np.uint64))
+    kernels.marks_word([1, 2, 3], 64)  # filter_slots + marks_word_bytes
+    counters = machine.dataplane_counters()
+    assert counters["be_fallback_calls"] == 3
+    assert counters["be_compiled_calls"] == 0
+
+
 # ---------------------------------------------------------------------------
 # Bit filters
 # ---------------------------------------------------------------------------
 
-@given(building=st.lists(st.integers(0, hashing.HASH_MODULUS - 1),
-                         max_size=150),
-       probing=st.lists(st.integers(0, hashing.HASH_MODULUS - 1),
-                        max_size=150),
+@given(building=st.lists(st.one_of(
+           st.integers(0, hashing.HASH_MODULUS - 1), u64_values),
+           max_size=150),
+       probing=st.lists(st.one_of(
+           st.integers(0, hashing.HASH_MODULUS - 1), u64_values),
+           max_size=150),
        bits=st.integers(min_value=1, max_value=2048))
+@example(building=[], probing=[], bits=1)
+@example(building=U64_EDGES, probing=U64_EDGES[::-1], bits=61)
 @settings(max_examples=100, deadline=None)
 def test_filter_batch_matches_scalar(building, probing, bits):
     scalar = BitFilter(bits)
@@ -166,6 +209,8 @@ def leftover_state(router: Router) -> dict:
 @given(keys=keys_strategy, capacity=st.integers(1, 7),
        n_groups=st.integers(1, 5), page_size=st.integers(1, 17),
        bucketed=st.booleans())
+@example(keys=[7] * 60, capacity=3, n_groups=4, page_size=5,
+         bucketed=True)  # all rows in one group
 @settings(max_examples=100, deadline=None)
 def test_route_plan_matches_scalar_packet_stream(
         keys, capacity, n_groups, page_size, bucketed):
@@ -279,13 +324,20 @@ def test_insert_page_matches_scalar_protocol(keys, capacity, page_size):
 
 @given(build_keys=st.lists(st.integers(0, 50), min_size=0, max_size=60),
        probe_keys=st.lists(st.integers(0, 50), min_size=0, max_size=60))
+@example(build_keys=[], probe_keys=[1, 2])
+@example(build_keys=[5] * 40, probe_keys=[5, 6, 5])  # one arena range
 @settings(max_examples=100, deadline=None)
 def test_probe_page_matches_scalar_probe(build_keys, probe_keys):
     """CPU float and emitted result rows are bit-identical to the
-    scalar probe consumer's accumulation."""
+    scalar probe consumer's accumulation, on scalar chains and on the
+    columnar arena's hash-range index alike."""
+    build_rows = [(k, f"inner{i}") for i, k in enumerate(build_keys)]
+    build_hashes = [hashing.hash_value(k) for k in build_keys]
     table = JoinHashTable(max(1, len(build_keys)))
-    for i, k in enumerate(build_keys):
-        table.insert((k, f"inner{i}"), hashing.hash_value(k))
+    for row, h in zip(build_rows, build_hashes):
+        table.insert(row, h)
+    arena = JoinHashTable(max(1, len(build_keys)))
+    arena.insert_page(ColumnPage.from_rows(build_rows), build_hashes)
     probe_rows = [(k, f"outer{i}") for i, k in enumerate(probe_keys)]
     probe_hashes = [hashing.hash_value(k) for k in probe_keys]
     tuple_receive, tuple_probe = 11.5e-6, 23.0e-6
@@ -308,6 +360,14 @@ def test_probe_page_matches_scalar_probe(build_keys, probe_keys):
 
     assert batch_out == scalar_out
     assert repr(batch_cpu) == repr(scalar_cpu)  # bit-identical float
+
+    arena_out: list = []
+    arena_cpu = arena._probe_page_arena(
+        probe_rows, probe_hashes, 0, 0, tuple_receive, tuple_probe,
+        tuple_chain_link, result_move, arena_out.append)
+    assert arena_out == scalar_out
+    assert repr(arena_cpu) == repr(scalar_cpu)
+    assert arena.max_chain == table.max_chain
 
 
 # ---------------------------------------------------------------------------

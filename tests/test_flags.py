@@ -1,4 +1,4 @@
-"""Strict parsing of the boolean REPRO_* flags (repro.flags)."""
+"""Strict parsing of the REPRO_* mode flags (repro.flags)."""
 
 import pytest
 
@@ -35,3 +35,24 @@ def test_gates_reject_other_values(monkeypatch, name, gate, default,
     monkeypatch.setenv(name, value)
     with pytest.raises(ValueError, match=f"{name}.*{value!r}"):
         gate()
+
+
+def test_audit_accepts_unset_zero_one_and_reverse(monkeypatch):
+    monkeypatch.delenv("REPRO_AUDIT", raising=False)
+    assert Simulator().auditor is None
+    monkeypatch.setenv("REPRO_AUDIT", "0")
+    assert Simulator().auditor is None
+    monkeypatch.setenv("REPRO_AUDIT", "1")
+    auditor = Simulator().auditor
+    assert auditor is not None and not auditor.reverse_ties
+    monkeypatch.setenv("REPRO_AUDIT", "reverse")
+    auditor = Simulator().auditor
+    assert auditor is not None and auditor.reverse_ties
+
+
+@pytest.mark.parametrize("value", ["off", "on", "yes", "Reverse", " 1"])
+def test_audit_rejects_other_values(monkeypatch, value):
+    # REPRO_AUDIT=off used to switch the auditor *on*.
+    monkeypatch.setenv("REPRO_AUDIT", value)
+    with pytest.raises(ValueError, match=f"REPRO_AUDIT.*{value!r}"):
+        Simulator()
