@@ -109,93 +109,6 @@ def time_dataplane(reps: int) -> dict | None:
     return _summary(times)
 
 
-def time_columnar(reps: int, scale: float = 1.0) -> dict | None:
-    """Interleaved A/B of the columnar relation storage
-    (``REPRO_COLUMNAR``).
-
-    The bulk data-plane workload — Wisconsin generation, declustered
-    load, a full sort of every fragment, key-column extraction —
-    under numpy pages and under tuple lists, reps interleaved
-    arm-by-arm so clock drift and cache warmth hit both arms alike.
-    The digests must match exactly; ``speedup_min`` is the tuple
-    arm's best wall time over the columnar arm's.
-    """
-    try:
-        from benchmarks.test_kernel_microbench import run_columnar_workload
-    except ImportError:
-        return None  # revision predates the columnar storage
-    arms = {"columnar": True, "tuple": False}
-    times: dict = {arm: [] for arm in arms}
-    digests: dict = {}
-    run_columnar_workload(columnar=True, scale=min(scale, 0.1))  # warm-up
-    for _ in range(reps):
-        for arm, flag in arms.items():
-            started = time.perf_counter()
-            digest = run_columnar_workload(columnar=flag, scale=scale)
-            times[arm].append(time.perf_counter() - started)
-            digest.pop("columnar")
-            digests[arm] = digest
-    if digests["columnar"] != digests["tuple"]:
-        raise AssertionError(
-            f"columnar digest diverged from the tuple arm: "
-            f"{digests['columnar']} != {digests['tuple']}")
-    out = {arm: _summary(arm_times) for arm, arm_times in times.items()}
-    out["scale"] = scale
-    out["speedup_min"] = round(
-        out["tuple"]["min_s"] / out["columnar"]["min_s"], 2)
-    return out
-
-
-_FIG5_POINT_CHILD = """\
-import json, resource, time
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_sweep_point, sweep_database
-config = ExperimentConfig(scale={scale}, seed=1)
-started = time.perf_counter()
-db = sweep_database(config, hpja=True)
-generated = time.perf_counter()
-point = run_sweep_point(config, db, "hybrid", 1.0)
-finished = time.perf_counter()
-print(json.dumps({{
-    "generate_s": round(generated - started, 3),
-    "join_s": round(finished - generated, 3),
-    "peak_rss_mb": round(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-    "response_time": repr(point.response_time),
-}}))
-"""
-
-
-def time_columnar_fig5_point(scale: float) -> dict:
-    """One figure-5 point (hybrid, full memory) at ``scale`` with the
-    invariant monitor armed (``REPRO_VERIFY=1``), under both
-    representations.
-
-    Each arm runs in its own subprocess so the peak-RSS readings are
-    honest per-arm numbers; the simulated response time must be
-    bit-identical across arms.
-    """
-    import os
-
-    out = {}
-    for arm, flag in (("columnar", "1"), ("tuple", "0")):
-        env = dict(os.environ,
-                   REPRO_COLUMNAR=flag, REPRO_VERIFY="1",
-                   PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             _FIG5_POINT_CHILD.format(scale=scale)],
-            capture_output=True, text=True, check=True, env=env)
-        out[arm] = json.loads(proc.stdout)
-    if out["columnar"]["response_time"] != out["tuple"]["response_time"]:
-        raise AssertionError(
-            f"scale-{scale} figure-5 point diverged: "
-            f"{out['columnar']['response_time']} != "
-            f"{out['tuple']['response_time']}")
-    out["scale"] = scale
-    return out
-
-
 def time_scaleout(reps: int) -> dict | None:
     """Interleaved A/B of the scale-out sweep driver across hardware
     models: a small speedup sweep (hybrid, 8 -> 16 nodes) on
@@ -251,13 +164,6 @@ def main(argv: list | None = None) -> int:
                         help="sample label (default: git revision)")
     parser.add_argument("--notes", default=None,
                         help="free-form context recorded with the sample")
-    parser.add_argument("--columnar-scale", type=float, default=1.0,
-                        help="scale for the columnar A/B microbench "
-                             "(default 1.0)")
-    parser.add_argument("--columnar-fig5-scale", type=float, default=None,
-                        help="also record one hybrid figure-5 point at "
-                             "this scale, invariants armed, columnar vs "
-                             "tuple in separate subprocesses")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
@@ -277,12 +183,6 @@ def main(argv: list | None = None) -> int:
     dataplane = time_dataplane(args.reps)
     if dataplane is not None:
         sample["dataplane_microbench"] = dataplane
-    columnar = time_columnar(args.reps, scale=args.columnar_scale)
-    if columnar is not None:
-        sample["columnar_microbench"] = columnar
-    if args.columnar_fig5_scale is not None:
-        sample["columnar_fig5_point"] = time_columnar_fig5_point(
-            args.columnar_fig5_scale)
     scaleout = time_scaleout(args.reps)
     if scaleout is not None:
         sample["scaleout_microbench"] = scaleout

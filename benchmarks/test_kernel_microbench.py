@@ -195,79 +195,3 @@ def test_dataplane_vector_matches_scalar():
     same accumulated CPU float."""
     assert (run_dataplane_workload(vector=True, n_pages=8)
             == run_dataplane_workload(vector=False, n_pages=8))
-
-
-# -- columnar storage microbenchmark ---------------------------------------
-
-COL_SCALE = 1.0
-
-
-def run_columnar_workload(columnar: bool | None = None,
-                          scale: float = COL_SCALE) -> dict:
-    """Bulk data-plane workload over the relation storage.
-
-    Times the phases where the representation itself does the work —
-    no simulator, no per-packet routing: Wisconsin generation
-    (column arrays vs a per-row Python loop), the declustered load
-    (vectorized ``sites_of`` vs per-row ``site_of``), a full sort of
-    every fragment (``np.lexsort`` vs ``sorted``), and a key-column
-    extraction per fragment.  ``columnar=None`` follows
-    ``REPRO_COLUMNAR``.
-
-    Returns a digest (cardinalities plus checksums over the sorted
-    key columns) that is bit-identical across both representations.
-    """
-    import os
-
-    from repro.catalog.pages import columnar_enabled
-    from repro.storage.sort import sort_rows
-    from repro.wisconsin.database import WisconsinDatabase
-
-    if columnar is None:
-        columnar = columnar_enabled()
-    saved = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = "1" if columnar else "0"
-    try:
-        db = WisconsinDatabase.joinabprime(8, scale=scale, seed=7)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = saved
-
-    key = db.outer.attribute_index("unique1")
-    checksum = 0
-    cardinality = 0
-    for relation in (db.outer, db.inner):
-        for fragment in relation.fragments:
-            ordered = sort_rows(fragment, key)
-            values = (ordered.column_values(key)
-                      if hasattr(ordered, "column_values")
-                      else [row[key] for row in ordered])
-            cardinality += len(values)
-            for value in values[:64]:
-                checksum = (checksum * 31 + value) % (1 << 61)
-            checksum = (checksum * 31 + sum(values)) % (1 << 61)
-    return {
-        "columnar": bool(columnar),
-        "cardinality": cardinality,
-        "outer_fragments": db.outer.num_fragments,
-        "key_checksum": checksum,
-    }
-
-
-def test_columnar_microbench(benchmark):
-    digest = benchmark(run_columnar_workload, scale=0.2)
-    assert digest["cardinality"] == round(100_000 * 0.2) + \
-        round(10_000 * 0.2)
-
-
-def test_columnar_matches_tuple():
-    """Both representations generate, decluster, and sort the same
-    rows to the same order — the digests match except for the arm
-    marker."""
-    page_arm = run_columnar_workload(columnar=True, scale=0.05)
-    tuple_arm = run_columnar_workload(columnar=False, scale=0.05)
-    assert page_arm.pop("columnar") is True
-    assert tuple_arm.pop("columnar") is False
-    assert page_arm == tuple_arm

@@ -2,7 +2,11 @@
 
 ``load_relation`` is the reproduction's analogue of Gamma's load
 utility: it consults the chosen :class:`PartitioningStrategy` once per
-tuple and appends the tuple to the selected site's fragment.  Loading
+tuple and appends the tuple to the selected site's fragment.  A
+:class:`~repro.catalog.pages.ColumnPage` input (the Wisconsin
+generator's output) is declustered in one vectorized pass instead —
+:meth:`~PartitioningStrategy.sites_of` plus a gather per site — and
+its fragments stay columnar until a join first reads them.  Loading
 is a catalog operation, not a timed query — the paper measures join
 response times against already-loaded relations — so no simulated cost
 is charged here.

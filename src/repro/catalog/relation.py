@@ -1,10 +1,16 @@
 """Horizontally partitioned relations.
 
 A :class:`Relation` is the catalog's view of a stored table: a schema,
-one tuple-list fragment per disk site, and the partitioning descriptor
-it was loaded with.  Fragment ``i`` lives on disk node ``i`` of the
-machine the relation is loaded for (Gamma partitions every relation
-across *all* disks — §2.2).
+one fragment per disk site, and the partitioning descriptor it was
+loaded with.  Fragment ``i`` lives on disk node ``i`` of the machine
+the relation is loaded for (Gamma partitions every relation across
+*all* disks — §2.2).
+
+Generated relations are loaded as columns
+(:class:`~repro.catalog.pages.ColumnPage`); the data plane reads tuple
+lists.  :attr:`Relation.fragments` builds the fragments' tuple lists
+on first use and keeps them, so every later join over the relation
+reuses the same rows.  Size arithmetic never triggers the build.
 
 Relations are logical catalog objects; the simulated cost of reading
 them is charged by the scan operators in :mod:`repro.engine.operators`
@@ -13,6 +19,7 @@ using the page arithmetic exposed here.
 
 from __future__ import annotations
 
+import gc
 import math
 import typing
 
@@ -33,27 +40,53 @@ class Relation:
             raise ValueError(f"relation {name!r} needs >= 1 fragment")
         self.name = name
         self.schema = schema
-        #: Tuple-list fragments, or ColumnPage fragments when the
-        #: relation was loaded under ``REPRO_COLUMNAR`` (same row
-        #: values and order either way).
-        self.fragments: list[typing.Sequence[Row]] = [
+        #: Each fragment as stored: a ColumnPage until the tuple lists
+        #: are built, then the tuple lists themselves.
+        self._stored: list[typing.Sequence[Row]] = [
             f if isinstance(f, ColumnPage) else list(f)
             for f in fragments]
+        self._fragments: list[list[Row]] | None = None
         self.partitioning = partitioning
         #: page_size -> tuples-per-page; fragment_pages/total_pages sit
         #: on the scan cost path, and the division is invariant per
         #: relation, so compute it once per page size.
         self._tuples_per_page: dict[int, int] = {}
 
+    @property
+    def fragments(self) -> list[list[Row]]:
+        """One tuple list per disk site: the rows the data plane scans.
+
+        Built on first access and kept; the columns are dropped once
+        the rows exist.  The garbage collector is paused during the
+        build, as ``Simulator.run`` does: allocating a relation's
+        worth of tuples would otherwise set off collections that can
+        free nothing.
+        """
+        fragments = self._fragments
+        if fragments is None:
+            gc_was_enabled = gc.isenabled()
+            if gc_was_enabled:
+                gc.disable()
+            try:
+                fragments = [
+                    f.rows() if isinstance(f, ColumnPage)
+                    else typing.cast("list[Row]", f)
+                    for f in self._stored]
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+            self._fragments = self._stored = fragments
+        return fragments
+
     # -- size arithmetic ----------------------------------------------------
 
     @property
     def num_fragments(self) -> int:
-        return len(self.fragments)
+        return len(self._stored)
 
     @property
     def cardinality(self) -> int:
-        return sum(len(f) for f in self.fragments)
+        return sum(len(f) for f in self._stored)
 
     @property
     def tuple_bytes(self) -> int:
@@ -73,7 +106,7 @@ class Relation:
 
     def fragment_pages(self, fragment: int, page_size: int) -> int:
         """Disk pages occupied by one fragment."""
-        return math.ceil(len(self.fragments[fragment])
+        return math.ceil(len(self._stored[fragment])
                          / self.tuples_per_page(page_size))
 
     def total_pages(self, page_size: int) -> int:
@@ -84,40 +117,15 @@ class Relation:
 
     def iter_rows(self) -> typing.Iterator[Row]:
         """Lazily yield every tuple in fragment order (verification
-        paths; avoids copying whole relations)."""
-        for fragment in self.fragments:
+        paths; neither copies the relation nor builds its tuple
+        lists)."""
+        for fragment in self._stored:
             yield from fragment
 
     def all_rows(self) -> list[Row]:
         """Every tuple, fragment order (for verification, not for the
         simulated data path)."""
         return list(self.iter_rows())
-
-    def with_representation(self, columnar: bool) -> "Relation":
-        """This relation with columnar (or tuple-list) fragments.
-
-        Returns ``self`` when the fragments are already in the
-        requested representation; otherwise a new catalog object over
-        converted fragments — same rows, same order, same schema and
-        partitioning.  Differential harnesses use this to run one
-        generated database through both ``REPRO_COLUMNAR`` planes.
-        """
-        converted: list[typing.Sequence[Row]] = []
-        changed = False
-        for fragment in self.fragments:
-            if columnar and not isinstance(fragment, ColumnPage):
-                converted.append(ColumnPage.from_rows(
-                    fragment, width=len(self.schema.attributes)))
-                changed = True
-            elif not columnar and isinstance(fragment, ColumnPage):
-                converted.append(list(fragment))
-                changed = True
-            else:
-                converted.append(fragment)
-        if not changed:
-            return self
-        return Relation(self.name, self.schema, converted,
-                        partitioning=self.partitioning)
 
     def attribute_index(self, attribute: str) -> int:
         return self.schema.index_of(attribute)

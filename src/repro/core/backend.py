@@ -1,9 +1,8 @@
 """The data plane's numpy kernels.
 
 Every per-element pass over a whole page — key hashing, bit-filter
-slot math, route-plan group splitting, hash-table arena indexing — is
-one function here, called directly by :mod:`repro.core.kernels` and
-:mod:`repro.core.hash_table`.  Each is bit-identical to the scalar
+slot math, route-plan group splitting — is one function here, called
+directly by :mod:`repro.core.kernels`.  Each is bit-identical to the scalar
 path it batches (property-tested against :mod:`repro.hashing` and the
 scalar data plane in ``tests/core/test_kernels.py``, and against
 per-element reference loops in ``tests/core/test_backend_parity.py``):
@@ -12,9 +11,9 @@ per-element reference loops in ``tests/core/test_backend_parity.py``):
   — uint64 arithmetic wraps modulo 2**64, which is congruent modulo
   2**32 to Python's arbitrary-precision result, so the masked 32-bit
   codes match the scalar hashes for any 64-bit input.
-* ``split_groups`` / ``arena_ranges`` — a *stable* sort keeps equal
-  keys in input order, so each group or hash range lists its rows in
-  exactly the order the scalar router or hash chain would.
+* ``split_groups`` — a *stable* sort keeps equal keys in input
+  order, so each group lists its rows in exactly the order the scalar
+  router would.
 * ``marks_word_bytes`` / ``unpack_bits`` — byte-for-byte bit layout
   (little-endian within each byte) of the scalar int bitset.
 
@@ -95,30 +94,6 @@ def split_groups(groups: Array) -> tuple[Array, Array, Array, Array]:
     starts = np.concatenate(([0], cuts)) if n else cuts
     ends = np.concatenate((cuts, [n])) if n else cuts
     return order, starts, ends, sorted_groups[starts] if n else sorted_groups
-
-
-def arena_ranges(hashes: Array) -> tuple[Array, Array, Array, Array, int]:
-    """Stable hash-ordered index over a columnar arena.
-
-    Returns ``(order, starts, ends, keys, max_chain)``: ``order`` is
-    the stable argsort of ``hashes``; ``starts[k]:ends[k]`` is the
-    range of hash value ``keys[k]`` within it (each range enumerates
-    exactly the tuples a scalar chain would hold, in insertion order);
-    ``max_chain`` is the widest range.
-    """
-    global calls
-    calls += 1
-    order = np.argsort(hashes, kind="stable")
-    sorted_hashes = hashes[order]
-    n = len(hashes)
-    if not n:
-        empty = np.empty(0, dtype=np.int64)
-        return order, empty, empty, empty, 0
-    cuts = np.flatnonzero(sorted_hashes[1:] != sorted_hashes[:-1]) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [n]))
-    return (order, starts, ends, sorted_hashes[starts],
-            int((ends - starts).max()))
 
 
 def marks_word_bytes(slots: Array, num_bits: int) -> bytes:

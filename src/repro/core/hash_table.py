@@ -39,10 +39,6 @@ from __future__ import annotations
 import math
 import typing
 
-import numpy as np
-
-from repro.catalog.pages import ColumnPage
-from repro.core import backend
 from repro.hashing import HASH_MODULUS
 
 Row = typing.Tuple
@@ -54,15 +50,6 @@ HISTOGRAM_BINS = 128
 #: Fraction of table capacity each clearing pass tries to free (§4.1:
 #: "We currently try to clear 10% of the hash table memory space").
 CLEAR_FRACTION = 0.10
-
-
-#: Probe pages below this row count drop the table to scalar chains.
-#: The arena's sorted-range probe amortizes its gather over the rows of
-#: each incoming page; tiny network packets (the small-scale figure-5
-#: points route 9-tuple pages) never recoup it, so the first undersized
-#: probe page materializes the chains once and every later probe walks
-#: them scalar — bit-identical either way.
-PROBE_ARENA_MIN_ROWS = 32
 
 
 class JoinOverflowError(RuntimeError):
@@ -90,25 +77,12 @@ class JoinHashTable:
         #: Hash codes >= cutoff overflow; None means no overflow yet.
         self.cutoff: int | None = None
         self._histogram = [0] * HISTOGRAM_BINS
-        # Columnar arena: while every insert arrives as a whole
-        # ColumnPage batch (the REPRO_COLUMNAR fast path), the batches
-        # are accumulated as-is — no per-tuple chains — and probing
-        # runs against a lazily built sorted index.  The first scalar
-        # operation (insert / make_room / probe / resident_rows)
-        # materializes the arena into classic chains; ``None`` means
-        # the table is in scalar-chain mode.
-        self._arena: list[tuple[ColumnPage, list[int]]] | None = []
-        self._arena_index: dict[int, tuple[int, int]] | None = None
-        self._arena_order: typing.Any = None
-        self._arena_max_chain = 0
-        self._arena_rows: list | None = None
-        self._arena_keys: list | None = None
-        self._arena_key_index: int | None = None
         # Statistics.
         self.overflow_events = 0
         self.tuples_evicted = 0
         self.tuples_scanned_during_eviction = 0
-        self._max_chain = 0
+        #: Longest duplicate chain seen so far (§4.4 reports 16 max).
+        self.max_chain = 0
         self.total_inserted = 0
 
     # -- admission / insertion ---------------------------------------------
@@ -121,24 +95,9 @@ class JoinHashTable:
     def is_full(self) -> bool:
         return self.count >= self.capacity
 
-    @property
-    def max_chain(self) -> int:
-        """Longest duplicate chain seen so far (§4.4 reports 16 max)."""
-        if self._arena:
-            self._arena_groups()
-            if self._arena_max_chain > self._max_chain:
-                return self._arena_max_chain
-        return self._max_chain
-
-    @max_chain.setter
-    def max_chain(self, value: int) -> None:
-        self._max_chain = value
-
     def insert(self, row: Row, hash_code: int) -> None:
         """Insert a tuple (caller must have checked :meth:`admits` and
         made room)."""
-        if self._arena is not None:
-            self._materialize()
         if not self.admits(hash_code):
             raise RuntimeError(
                 f"insert above cutoff: hash {hash_code} >= {self.cutoff}")
@@ -166,28 +125,7 @@ class JoinHashTable:
         capacity`` — exactly the regime where the scalar protocol never
         calls ``admits``/``make_room`` between inserts, so this is the
         plain insert loop with the per-row bookkeeping hoisted.
-
-        A :class:`~repro.catalog.pages.ColumnPage` batch arriving while
-        the table is still in arena mode is retained whole: only the
-        histogram and counters are updated, and no row tuple is ever
-        materialized unless probing later finds a match.
         """
-        arena = self._arena
-        if arena is not None:
-            if isinstance(rows, ColumnPage):
-                arena.append((
-                    rows,
-                    hashes if isinstance(hashes, list) else list(hashes)))
-                self._arena_index = None
-                self._arena_keys = None
-                self._arena_rows = None
-                histogram = self._histogram
-                for hash_code in hashes:
-                    histogram[hash_code * HISTOGRAM_BINS // HASH_MODULUS] += 1
-                self.count += len(rows)
-                self.total_inserted += len(rows)
-                return
-            self._materialize()
         slots = self._slots
         histogram = self._histogram
         max_chain = self.max_chain
@@ -205,82 +143,6 @@ class JoinHashTable:
         self.max_chain = max_chain
         self.count += len(rows)
         self.total_inserted += len(rows)
-
-    # -- columnar arena ------------------------------------------------------
-
-    def _materialize(self) -> None:
-        """Fold the arena into scalar chains (insertion order kept).
-
-        Counters and the histogram were settled when each batch was
-        admitted, so only the chains and ``max_chain`` remain.  Called
-        at most once, on the first scalar operation — the build
-        protocol only goes scalar once a batch stops fitting, and the
-        scalar path never hands control back to the arena.
-        """
-        parts, self._arena = self._arena, None
-        self._arena_index = None
-        self._arena_order = None
-        self._arena_keys = None
-        self._arena_rows = None
-        if not parts:
-            return
-        slots = self._slots
-        max_chain = self._max_chain
-        for page, page_hashes in parts:
-            for row, hash_code in zip(page, page_hashes):
-                chain = slots.get(hash_code)
-                if chain is None:
-                    slots[hash_code] = [row]
-                    chain_length = 1
-                else:
-                    chain.append(row)
-                    chain_length = len(chain)
-                if chain_length > max_chain:
-                    max_chain = chain_length
-        self._max_chain = max_chain
-
-    def _arena_groups(self) -> dict[int, tuple[int, int]]:
-        """Hash -> (start, end) ranges into the stable-sorted arena.
-
-        ``backend.arena_ranges`` uses numpy's stable argsort, keeping
-        equal hashes in insertion order, so each range enumerates
-        exactly the tuples a scalar chain would hold, in the same
-        order.
-        """
-        index = self._arena_index
-        if index is None:
-            parts = self._arena
-            assert parts is not None
-            all_hashes: list[int] = []
-            for _page, page_hashes in parts:
-                all_hashes.extend(page_hashes)
-            arr = np.asarray(all_hashes, dtype=np.int64)
-            order, starts, ends, keys, max_chain = \
-                backend.arena_ranges(arr)
-            self._arena_max_chain = max_chain
-            index = dict(zip(keys.tolist(),
-                             zip(starts.tolist(), ends.tolist())))
-            self._arena_index = index
-            self._arena_order = order
-        return index
-
-    def _arena_probe_data(self, inner_key: int) -> tuple[list, list]:
-        """The arena gathered into hash order: its join-key values and
-        its row tuples, both as plain Python lists.  Built once per
-        (arena, key) — bulk iteration over the gathered page is an
-        order of magnitude cheaper per row than per-match indexing,
-        and in a join most resident rows are matched anyway."""
-        if self._arena_keys is None or self._arena_key_index != inner_key:
-            parts = self._arena
-            assert parts is not None and parts
-            pages = [page for page, _hashes in parts]
-            whole = pages[0] if len(pages) == 1 else ColumnPage.concat(pages)
-            ordered = whole.take(self._arena_order)
-            self._arena_rows = list(ordered)
-            self._arena_keys = ordered.column_values(inner_key)
-            self._arena_key_index = inner_key
-        assert self._arena_rows is not None
-        return self._arena_keys, self._arena_rows
 
     # -- overflow ------------------------------------------------------------
 
@@ -302,8 +164,6 @@ class JoinHashTable:
         of resident tuples examined (CPU accounting for "the overhead
         required to repeatedly search the hash table", §4.1).
         """
-        if self._arena is not None:
-            self._materialize()
         target = max(1, math.ceil(self.capacity * CLEAR_FRACTION))
         top_bin = (HISTOGRAM_BINS if self.cutoff is None
                    else self._bin(self.cutoff - 1) + 1)
@@ -347,8 +207,6 @@ class JoinHashTable:
         Returns ``(matches, chain_length)``; the chain length feeds the
         per-link probe CPU cost.
         """
-        if self._arena is not None:
-            self._materialize()
         chain = self._slots.get(hash_code)
         if chain is None:
             return [], 0
@@ -367,21 +225,7 @@ class JoinHashTable:
         ``cpu += tuple_receive; cpu += tuple_probe [+ (chain-1) *
         tuple_chain_link]; cpu += result_move`` per match, in the same
         order and operand grouping.
-
-        While the table is in arena mode the probe runs against the
-        sorted-range index instead of chains: same charges, same emit
-        order (per outer row, matches in insertion order), and row
-        tuples are materialized only for actual matches.  Probe pages
-        under :data:`PROBE_ARENA_MIN_ROWS` rows instead drop the table
-        to scalar chains once and for all — the gather the arena probe
-        amortizes per page never pays for itself on tiny packets.
         """
-        if self._arena is not None:
-            if len(rows) >= PROBE_ARENA_MIN_ROWS:
-                return self._probe_page_arena(
-                    rows, hashes, outer_key, inner_key, tuple_receive,
-                    tuple_probe, tuple_chain_link, result_move, emit)
-            self._materialize()
         slots = self._slots
         cpu = 0.0
         for row, hash_code in zip(rows, hashes):
@@ -402,51 +246,8 @@ class JoinHashTable:
                     emit(match + row)
         return cpu
 
-    def _probe_page_arena(self, rows: typing.Sequence[Row],
-                          hashes: typing.Sequence[int], outer_key: int,
-                          inner_key: int, tuple_receive: float,
-                          tuple_probe: float, tuple_chain_link: float,
-                          result_move: float,
-                          emit: typing.Callable[[Row], None]) -> float:
-        """Arena-mode :meth:`probe_page`: bit-equal charges and emits."""
-        index = self._arena_groups()
-        keys: list | None = None
-        inner_rows: list | None = None
-        columnar = isinstance(rows, ColumnPage)
-        out_values = rows.column_values(outer_key) if columnar else None
-        out_rows: typing.Sequence[Row] | None = None if columnar else rows
-        cpu = 0.0
-        for i, hash_code in enumerate(hashes):
-            cpu += tuple_receive
-            group = index.get(hash_code)
-            if group is None:
-                cpu += tuple_probe
-                continue
-            start, end = group
-            chain_length = end - start
-            if chain_length == 1:
-                cpu += tuple_probe
-            else:
-                cpu += tuple_probe + (chain_length - 1) * tuple_chain_link
-            if keys is None:
-                keys, inner_rows = self._arena_probe_data(inner_key)
-            value = (out_values[i] if out_values is not None
-                     else rows[i][outer_key])
-            for j in range(start, end):
-                if keys[j] == value:
-                    cpu += result_move
-                    if out_rows is None:
-                        # First match in a columnar packet: bulk
-                        # materialization beats per-row indexing as
-                        # soon as a second row matches.
-                        out_rows = list(rows)
-                    emit(inner_rows[j] + out_rows[i])
-        return cpu
-
     def resident_rows(self) -> typing.Iterator[tuple[Row, int]]:
         """All (row, hash) pairs currently resident (diagnostics)."""
-        if self._arena is not None:
-            self._materialize()
         for hash_code, chain in self._slots.items():
             for row in chain:
                 yield row, hash_code
@@ -455,8 +256,6 @@ class JoinHashTable:
     def average_chain(self) -> float:
         """Average chain length over occupied slots (§4.4 reports 3.3
         under the normal skew)."""
-        if self._arena:
-            return self.count / len(self._arena_groups())
         if not self._slots:
             return 0.0
         return self.count / len(self._slots)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.catalog.pages import ColumnPage
 from repro.core import kernels
 from repro.core.bit_filter import FilterBank
 from repro.core.hash_table import JoinHashTable, JoinOverflowError
@@ -120,16 +119,9 @@ class FilesSource(StreamSource):
             return file.rows, file.stored_hashes(level, family)
         # Files are read back to back, so the concatenation is the scan
         # order; the sidecar is usable only if every file carries one.
-        parts = [file.rows for file in self.files]
-        rows: typing.Sequence[Row]
-        if parts and all(isinstance(p, ColumnPage) for p in parts):
-            rows = ColumnPage.concat(
-                typing.cast("list[ColumnPage]", parts))
-        else:
-            merged: list[Row] = []
-            for part in parts:
-                merged.extend(part)
-            rows = merged
+        rows: list[Row] = []
+        for file in self.files:
+            rows.extend(file.rows)
         stored: list[int] | None = []
         for file in self.files:
             if stored is not None:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.catalog.pages import ColumnPage
 from repro.core import kernels
 from repro.core.bit_filter import FilterBank
 from repro.core.joins.base import JoinConfigError, JoinDriver
@@ -335,9 +334,8 @@ class SortMergeJoin(JoinDriver):
         once the exhausted side's maximum can no longer match — the
         §4.4 skipped-read effect.
 
-        The merge cursors walk plain Python key-value lists (one
-        column extraction per side), so a columnar fragment only
-        materializes the row tuples that actually join.
+        The merge cursors walk plain Python key lists, one column
+        extraction per side.
         """
         costs = self.costs
         disk = node.require_disk()
@@ -347,12 +345,8 @@ class SortMergeJoin(JoinDriver):
         s_tpp = costs.tuples_per_page(self.outer.schema.tuple_bytes)
         n_r = len(r_rows)
         n_s = len(s_rows)
-        r_keys = (r_rows.column_values(r_key)
-                  if isinstance(r_rows, ColumnPage)
-                  else [row[r_key] for row in r_rows])
-        s_keys = (s_rows.column_values(s_key)
-                  if isinstance(s_rows, ColumnPage)
-                  else [row[s_key] for row in s_rows])
+        r_keys = [row[r_key] for row in r_rows]
+        s_keys = [row[s_key] for row in s_rows]
         r_max = r_keys[-1] if r_keys else None
         r_index = 0
         r_pages_read = 0

@@ -45,7 +45,6 @@ import typing
 import numpy as np
 
 from repro import hashing
-from repro.catalog.pages import ColumnPage
 from repro.core import backend
 from repro.flags import env_flag
 from repro.engine.operators.scan import constant_page_cost
@@ -211,30 +210,6 @@ def resolve_column(machine: "GammaMachine",
     if not rows:
         return Column(rows, np.empty(0, dtype=np.uint64), [])
     memo = machine.key_hash_memo
-    if isinstance(rows, ColumnPage):
-        # Columnar sources carry their own hash-column cache, keyed by
-        # value (key_index, level, family) — it travels with the page
-        # through routing and temp files, replacing the machine-wide
-        # id()-keyed memo lookups for this source.
-        pair = rows.cached_hashes(key_index, level, family)
-        if pair is not None:
-            memo.hits += 1
-            return Column(rows, pair[0], pair[1])
-        if stored is not None:
-            ints = stored if isinstance(stored, list) else list(stored)
-            arr = np.asarray(ints, dtype=np.uint64)
-            rows.store_hashes(key_index, level, family, arr, ints)
-            memo.hits += 1
-            return Column(rows, arr, ints)
-        key_column = rows.column_array(key_index)
-        arr = (hash_keys(key_column, level, family)
-               if key_column is not None else None)
-        if arr is None:
-            return None
-        ints = arr.tolist()
-        rows.store_hashes(key_index, level, family, arr, ints)
-        memo.misses += 1
-        return Column(rows, arr, ints)
     cached = memo.lookup(rows, key_index, level, family)
     if cached is not None:
         return Column(rows, cached[0], cached[1])
@@ -286,9 +261,9 @@ class RoutePlan:
         self._finalized = False
         capacity = router.capacity
         events: list[tuple[int, int, int | None,
-                           typing.Sequence[Row], list[int]]] = []
+                           list[Row], list[int]]] = []
         leftovers: list[tuple[int, int | None,
-                              typing.Sequence[Row], list[int]]] = []
+                              list[Row], list[int]]] = []
         n = int(len(groups))
         self.subset_rows = n
         if n:
@@ -299,27 +274,13 @@ class RoutePlan:
             ends = seg_ends.tolist()
             groups_of_seg = seg_groups.tolist()
             src_list = src.tolist()
-            if isinstance(rows, ColumnPage):
-                # Columnar source: one C-level gather of the whole
-                # subset, then zero-copy page-slice packets — no row
-                # tuple is ever materialized on the routing path.
-                sorted_rows: ColumnPage | None = rows.take(src)
-                sorted_hashes = [hash_ints[i] for i in src_list]
-            else:
-                sorted_rows = None
-                sorted_hashes = []
             for a, b, group in zip(starts, ends, groups_of_seg):
                 dst = dst_of_group[group]
                 bucket = (None if bucket_of_group is None
                           else bucket_of_group[group])
                 idx = src_list[a:b]
-                grows: typing.Sequence[Row]
-                if sorted_rows is None:
-                    grows = [rows[i] for i in idx]
-                    ghashes = [hash_ints[i] for i in idx]
-                else:
-                    grows = sorted_rows[a:b]
-                    ghashes = sorted_hashes[a:b]
+                grows = [rows[i] for i in idx]
+                ghashes = [hash_ints[i] for i in idx]
                 count = b - a
                 full = count // capacity
                 for k in range(full):

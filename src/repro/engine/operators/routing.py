@@ -186,11 +186,8 @@ class Router:
             return
         # A buffer already exists (a scalar producer shared this
         # router): merge element-wise with the same capacity rollover
-        # the per-tuple path applies.  A stashed columnar tail is
-        # materialized first — append-merging is inherently row-wise.
+        # the per-tuple path applies.
         brows, bhashes = buffer
-        if not isinstance(brows, list):
-            brows, bhashes = list(brows), list(bhashes)
         for row, hash_code in zip(rows, hashes):
             brows.append(row)
             bhashes.append(hash_code)

@@ -262,18 +262,16 @@ def main(argv: list[str] | None = None) -> int:
     jobs = args.jobs
     if jobs is None:
         jobs = int(os.environ.get("REPRO_JOBS", 1))
-    if jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {jobs}")
     try:
         resolve_profile_name(args.hardware_profile)
         resolve_topology_name(args.topology)
+        config = ExperimentConfig(scale=args.scale, seed=args.seed,
+                                  verify_results=args.verify,
+                                  jobs=jobs, profile=args.profile,
+                                  hardware_profile=args.hardware_profile,
+                                  topology=args.topology)
     except ValueError as error:
         parser.error(str(error))
-    config = ExperimentConfig(scale=args.scale, seed=args.seed,
-                              verify_results=args.verify,
-                              jobs=jobs, profile=args.profile,
-                              hardware_profile=args.hardware_profile,
-                              topology=args.topology)
     if args.experiment == "all":
         names = list(EXPERIMENTS)
     elif args.experiment in EXPERIMENTS:

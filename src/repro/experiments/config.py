@@ -57,6 +57,12 @@ class ExperimentConfig:
     #: ``REPRO_TOPOLOGY`` (default ``token-ring``).
     topology: "str | None" = None
 
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if not self.scale > 0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+
     @classmethod
     def from_environment(cls, default_scale: float = 1.0
                          ) -> "ExperimentConfig":

@@ -17,7 +17,6 @@ import multiprocessing
 import os
 import typing
 
-from repro.catalog.pages import columnar_enabled
 from repro.core.joins import JoinResult, run_join
 from repro.core.joins.reference import assert_same_result
 from repro.costs import resolve_profile_name
@@ -197,18 +196,15 @@ def sweep_database(config: ExperimentConfig, hpja: bool
                    ) -> WisconsinDatabase:
     """The (cached) joinABprime database for this config.
 
-    ``REPRO_COLUMNAR`` is part of the key: the gate is honored at
-    generation time (fragments are built columnar or tuple-list), so
-    harnesses that flip the environment between runs must not be
-    handed a database of the other representation.  The resolved
-    hardware profile and interconnect topology are part of the key
-    for the same defensive reason: relation content is independent of
-    both *today*, but a sweep that interleaves profiles (the scale-out
-    A/B driver does, including under ``--jobs``) must never be able to
+    A cached database keeps the tuple lists its first join built, so
+    every later point of a sweep reuses them.  The resolved hardware
+    profile and interconnect topology are part of the key for a
+    defensive reason: relation content is independent of both
+    *today*, but a sweep that interleaves profiles (the scale-out A/B
+    driver does, including under ``--jobs``) must never be able to
     observe a database primed under the other hardware model.
     """
     key = (config.num_disk_nodes, config.scale, config.seed, hpja,
-           columnar_enabled(),
            resolve_profile_name(config.hardware_profile),
            resolve_topology_name(config.topology))
     db = _DB_CACHE.get(key)

@@ -1,9 +1,9 @@
 """Strict parsing of the ``REPRO_*`` mode flags.
 
-``REPRO_FASTPATH``, ``REPRO_VECTOR``, ``REPRO_COLUMNAR`` and
-``REPRO_VERIFY`` are read through :func:`env_flag` and ``REPRO_AUDIT``
-through :func:`audit_mode`, so a value such as ``off`` or ``yes``
-fails loudly instead of being silently read as one of the modes.
+``REPRO_FASTPATH``, ``REPRO_VECTOR`` and ``REPRO_VERIFY`` are read
+through :func:`env_flag` and ``REPRO_AUDIT`` through
+:func:`audit_mode`, so a value such as ``off`` or ``yes`` fails loudly
+instead of being silently read as one of the modes.
 
 This module imports nothing from the rest of the package: the
 simulation kernel, the data plane and the verify gate all read it.

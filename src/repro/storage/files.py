@@ -17,24 +17,11 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.catalog.pages import ColumnPage
-
 Row = typing.Tuple
 
 
 class PagedFile:
     """An append-only tuple file with page accounting.
-
-    Storage is dual-mode: while every batch arriving is a
-    :class:`~repro.catalog.pages.ColumnPage` (the ``REPRO_COLUMNAR``
-    data plane), the file accumulates the page batches as-is and
-    :attr:`rows` exposes their cached concatenation — a zero-copy-read
-    columnar view whose hash-column cache persists across phases.  The
-    first scalar ``append`` or tuple-list ``extend`` converts the file
-    to the classic tuple-list storage (batches always precede scalar
-    traffic on the paths that mix them, so conversion happens at most
-    once).  Page accounting is count-based and identical in both
-    modes.
 
     Parameters
     ----------
@@ -57,14 +44,8 @@ class PagedFile:
         self.tuple_bytes = tuple_bytes
         self.page_size = page_size
         self.tuples_per_page = max(1, page_size // tuple_bytes)
-        #: Tuple-list storage (None while in columnar mode).
-        self._rows_list: typing.Optional[list[Row]] = []
-        #: Columnar batches (None while in tuple-list mode).
-        self._parts: typing.Optional[list[ColumnPage]] = None
-        #: Cached concatenation of ``_parts`` — rebuilt lazily after a
-        #: write so repeated reads see one stable page object (its
-        #: hash-column cache is what bucket joining reuses).
-        self._concat: typing.Optional[ColumnPage] = None
+        #: The stored tuples, in file order.
+        self.rows: list[Row] = []
         self._count = 0
         self._pages_flushed = 0
         self.closed = False
@@ -76,28 +57,6 @@ class PagedFile:
         self.hashes: typing.Optional[list[int]] = (
             [] if hash_tag is not None else None)
 
-    @property
-    def rows(self) -> typing.Sequence[Row]:
-        """The stored tuples: a list, or a columnar page view."""
-        if self._rows_list is not None:
-            return self._rows_list
-        concat = self._concat
-        if concat is None:
-            parts = self._parts
-            assert parts is not None
-            concat = self._concat = (
-                parts[0] if len(parts) == 1 else ColumnPage.concat(parts))
-        return concat
-
-    def _to_list_mode(self) -> None:
-        """Materialize columnar batches into tuple-list storage."""
-        merged: list[Row] = []
-        for part in self._parts or ():
-            merged.extend(part)
-        self._rows_list = merged
-        self._parts = None
-        self._concat = None
-
     # -- writing ---------------------------------------------------------
 
     def append(self, row: Row) -> bool:
@@ -108,9 +67,7 @@ class PagedFile:
         """
         if self.closed:
             raise RuntimeError(f"append to closed file {self.name!r}")
-        if self._rows_list is None:
-            self._to_list_mode()
-        self._rows_list.append(row)
+        self.rows.append(row)
         self._count += 1
         self.hashes = None  # scalar appends carry no hash sidecar
         if self._count % self.tuples_per_page == 0:
@@ -131,24 +88,9 @@ class PagedFile:
         if self.closed:
             raise RuntimeError(f"append to closed file {self.name!r}")
         before = self._count
-        if isinstance(rows, ColumnPage):
-            if self._rows_list is not None and not self._rows_list:
-                # Empty file receiving columnar traffic: go columnar.
-                self._rows_list = None
-                self._parts = []
-            if self._parts is not None:
-                self._parts.append(rows)
-                self._concat = None
-                self._count = before + len(rows)
-            else:
-                self._rows_list.extend(rows)
-                self._count = before + len(rows)
-        else:
-            if self._rows_list is None:
-                self._to_list_mode()
-            mine = self._rows_list
-            mine.extend(rows)
-            self._count = len(mine)
+        mine = self.rows
+        mine.extend(rows)
+        self._count = len(mine)
         if self.hashes is not None:
             if hashes is None:
                 self.hashes = None

@@ -28,7 +28,6 @@ import dataclasses
 import math
 import typing
 
-from repro.catalog.pages import ColumnPage
 from repro.costs import CostModel
 
 Row = typing.Tuple
@@ -113,18 +112,10 @@ def plan_external_sort(n_tuples: int, tuple_bytes: int, memory_bytes: int,
                     fan_in=fan_in, merge_passes=merge_passes)
 
 
-def sort_rows(rows: typing.Sequence[Row],
-              key_index: int) -> typing.Sequence[Row]:
+def sort_rows(rows: typing.Iterable[Row], key_index: int) -> list[Row]:
     """The logical result of the sort: rows ordered by one attribute.
 
     Ties are broken by full-row comparison purely for determinism —
     a stable, reproducible order keeps every simulation replayable.
-    A :class:`~repro.catalog.pages.ColumnPage` input sorts columnar
-    (``np.lexsort`` over the same comparison keys) and stays a page;
-    anything else returns the classic sorted tuple list.
     """
-    if isinstance(rows, ColumnPage):
-        order = rows.sort_order(key_index)
-        if order is not None:
-            return rows.take(order)
     return sorted(rows, key=lambda row: (row[key_index], row))

@@ -1,12 +1,11 @@
 """Differential mode-matrix harness (``repro.verify.matrix``).
 
-The simulator has three performance planes that must not change any
+The simulator has two performance planes that must not change any
 simulated result: the vectorized page-batch data plane
-(``REPRO_VECTOR``), the event-loop urgent fastpath (``REPRO_FASTPATH``)
-and the columnar relation storage (``REPRO_COLUMNAR``).  This module
-runs one workload through the full eight-combination cube — each on a
-fresh machine, with the conformance monitor (``REPRO_VERIFY=1``)
-active — and asserts that every mode produces **bit-identical**
+(``REPRO_VECTOR``) and the event-loop urgent fastpath
+(``REPRO_FASTPATH``).  This module runs one workload through all four
+combinations — each on a fresh machine, with the conformance monitor
+(``REPRO_VERIFY=1``) active — and asserts that every mode produces **bit-identical**
 response times and per-phase timings.  Any invariant violation inside
 a combo surfaces as a :class:`~repro.verify.ConformanceError` from that
 run; any divergence *between* combos raises one from the harness
@@ -33,36 +32,28 @@ import typing
 
 from repro.verify import ConformanceError
 
-#: (vector, fastpath, columnar) combinations — the full cube, the
-#: all-defaults reference combo first.
-MODES: tuple[tuple[int, int, int], ...] = tuple(
-    (vector, fastpath, columnar)
+#: (vector, fastpath) combinations, the all-defaults reference combo
+#: first.
+MODES: tuple[tuple[int, int], ...] = tuple(
+    (vector, fastpath)
     for vector in (1, 0)
-    for fastpath in (1, 0)
-    for columnar in (1, 0))
+    for fastpath in (1, 0))
 
 
 @contextlib.contextmanager
 def mode_env(vector: int, fastpath: int,
-             verify: bool = True,
-             columnar: int | None = None) -> typing.Iterator[None]:
+             verify: bool = True) -> typing.Iterator[None]:
     """Pin the data-plane/fastpath/verify environment for one run.
 
     The flags are read at machine- and driver-construction time, so a
     fresh machine built inside this context runs fully in the
-    requested mode.  ``columnar`` additionally pins
-    ``REPRO_COLUMNAR`` — note the relation *representation* is decided
-    when a database is generated, so harnesses convert the database
-    per combo (:meth:`WisconsinDatabase.with_representation`) rather
-    than relying on the flag alone.
+    requested mode.
     """
     desired = {
         "REPRO_VECTOR": str(vector),
         "REPRO_FASTPATH": str(fastpath),
         "REPRO_VERIFY": "1" if verify else "0",
     }
-    if columnar is not None:
-        desired["REPRO_COLUMNAR"] = str(columnar)
     saved = {key: os.environ.get(key) for key in desired}
     os.environ.update(desired)
     try:
@@ -84,42 +75,35 @@ def _phase_signature(result: typing.Any) -> list[tuple[str, str, str]]:
 def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
                     memory_ratio: float, configuration: str = "local",
                     **spec_kwargs: typing.Any) -> dict:
-    """One workload through the VECTOR × FASTPATH × COLUMNAR cube.
+    """One workload through the VECTOR × FASTPATH modes.
 
     Every combo runs on a fresh machine with the conformance monitor
-    enabled — the columnar combos against the database converted to
-    page fragments, the others against tuple-list fragments — and the
-    harness then asserts bit-identical response times and phase
-    timings across all eight. Returns a picklable report with the
-    reference result attached under ``"result"``.
+    enabled, and the harness then asserts bit-identical response times
+    and phase timings across all four.  Returns a picklable report with
+    the reference result attached under ``"result"``.
     """
     from repro.experiments.runner import run_sweep_point
 
     runs = []
-    for vector, fastpath, columnar in MODES:
-        mode_db = (db if db is None
-                   else db.with_representation(bool(columnar)))
-        with mode_env(vector, fastpath, verify=True,
-                      columnar=columnar):
-            point = run_sweep_point(config, mode_db, algorithm,
-                                    memory_ratio,
+    for vector, fastpath in MODES:
+        with mode_env(vector, fastpath, verify=True):
+            point = run_sweep_point(config, db, algorithm, memory_ratio,
                                     configuration=configuration,
                                     **spec_kwargs)
-        runs.append(((vector, fastpath, columnar), point))
+        runs.append(((vector, fastpath), point))
 
     (_, reference), *rest = runs
     ref_sig = _phase_signature(reference.result)
     ref_time = repr(reference.result.response_time)
-    for (vector, fastpath, columnar), point in rest:
+    for (vector, fastpath), point in rest:
         time = repr(point.result.response_time)
         if time != ref_time:
             raise ConformanceError(
                 f"{algorithm} response time diverges across modes: "
                 f"vector={vector} fastpath={fastpath} "
-                f"columnar={columnar} "
                 f"produced {time}, reference {ref_time}",
                 invariant="mode-matrix",
-                deltas={"mode": [vector, fastpath, columnar],
+                deltas={"mode": [vector, fastpath],
                         "response_time": time,
                         "reference": ref_time})
         sig = _phase_signature(point.result)
@@ -129,10 +113,9 @@ def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
             ] or [(ref_sig[len(sig):], sig[len(ref_sig):])]
             raise ConformanceError(
                 f"{algorithm} phase timings diverge across modes "
-                f"(vector={vector} fastpath={fastpath} "
-                f"columnar={columnar})",
+                f"(vector={vector} fastpath={fastpath})",
                 invariant="mode-matrix",
-                deltas={"mode": [vector, fastpath, columnar],
+                deltas={"mode": [vector, fastpath],
                         "diverging_phases": diverging[:4]})
     return {
         "algorithm": algorithm,
@@ -153,7 +136,7 @@ def run_figure5_matrix(scale: float,
                        algorithms: typing.Sequence[str] | None = None,
                        ) -> list[dict]:
     """The Figure 5 workload (local HPJA joinABprime) through the
-    matrix: every algorithm × memory ratio, all eight mode combos,
+    matrix: every algorithm × memory ratio, all four mode combos,
     all invariants, plus the analytic assessment of the reference
     run."""
     from repro.experiments.config import (
@@ -187,9 +170,8 @@ def run_figure5_matrix(scale: float,
 def main(argv: typing.Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify.matrix",
-        description="Differential REPRO_VECTOR x REPRO_FASTPATH x "
-                    "REPRO_COLUMNAR conformance matrix over the "
-                    "Figure 5 workload.")
+        description="Differential REPRO_VECTOR x REPRO_FASTPATH "
+                    "conformance matrix over the Figure 5 workload.")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="Wisconsin scale factor (default 0.05)")
     parser.add_argument("--out", type=pathlib.Path, default=None,

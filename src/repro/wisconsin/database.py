@@ -66,16 +66,6 @@ class WisconsinDatabase:
     def expected_result_tuples(self) -> int:
         return len(self.expected_result_rows)
 
-    def with_representation(self, columnar: bool) -> "WisconsinDatabase":
-        """This database with both relations in the requested fragment
-        representation (see :meth:`Relation.with_representation`);
-        ``self`` when nothing needs converting."""
-        outer = self.outer.with_representation(columnar)
-        inner = self.inner.with_representation(columnar)
-        if outer is self.outer and inner is self.inner:
-            return self
-        return dataclasses.replace(self, outer=outer, inner=inner)
-
     # -- constructors --------------------------------------------------------
 
     @classmethod

@@ -36,16 +36,11 @@ changes, only Python memory use.
 
 from __future__ import annotations
 
-import typing
-
 import numpy as np
 
-from repro.catalog.pages import ColumnPage, ConstColumn, columnar_enabled
+from repro.catalog.pages import ColumnPage, ConstColumn
 from repro.catalog.schema import Attribute, Schema
-from repro.wisconsin.distributions import (normal_attribute_array,
-                                           normal_attribute_values)
-
-Row = typing.Tuple
+from repro.wisconsin.distributions import normal_attribute_array
 
 WISCONSIN_STRING_WIDTH = 52
 
@@ -99,13 +94,8 @@ class WisconsinGenerator:
     def relation_rows(self, n: int, domain: int | None = None,
                       normal_mean: float | None = None,
                       normal_stddev: float = 750.0
-                      ) -> typing.Sequence[Row]:
-        """Generate ``n`` benchmark tuples.
-
-        Returns a :class:`~repro.catalog.pages.ColumnPage` when the
-        columnar representation is on (``REPRO_COLUMNAR``, default)
-        and strings are not materialized, else a list of tuples; both
-        hold bit-identical values and support the same row access.
+                      ) -> ColumnPage:
+        """Generate ``n`` benchmark tuples as one column page.
 
         Parameters
         ----------
@@ -128,45 +118,31 @@ class WisconsinGenerator:
                                   else 1.0)
         stddev = max(stddev, 1.0)
         unique1 = self._rng.permutation(n)
-        if columnar_enabled() and not self.materialize_strings:
-            # Column arrays straight from the generator — no tuple
-            # list is ever built.  Every value is bit-identical to the
-            # scalar loop below: the modulo arithmetic is over the
-            # same non-negative int64 values, and the normal column
-            # shares one rng.normal draw with the list variant.
-            normal_column = normal_attribute_array(
-                n, self._rng, mean=mean, stddev=stddev, domain=domain)
-            u1 = unique1.astype(np.int64, copy=False)
-            mod2 = u1 % 2
-            mod10 = u1 % 10
-            one_percent = u1 % 100
-            return ColumnPage.from_columns((
-                u1, np.arange(n, dtype=np.int64), mod2, u1 % 4, mod10,
-                u1 % 20, one_percent, mod10, u1 % 5, mod2, u1,
-                one_percent * 2, normal_column,
-                ConstColumn(""), ConstColumn(""), ConstColumn(""),
-            ), n=n)
-        normal_values = normal_attribute_values(
+        # Columns straight from the generator; no tuple is built here.
+        # Every value equals the scalar row loop's (the oracle in
+        # tests/): the modulo arithmetic is over the same non-negative
+        # int64 values, and the normal column is the same rng draw.
+        normal_column = normal_attribute_array(
             n, self._rng, mean=mean, stddev=stddev, domain=domain)
-        rows: list[Row] = []
-        for unique2 in range(n):
-            u1 = int(unique1[unique2])
-            one_percent = u1 % 100
-            if self.materialize_strings:
-                strings = (_unique_string(u1), _unique_string(unique2),
-                           _STRING4_PATTERNS[unique2 % 4].ljust(
-                               WISCONSIN_STRING_WIDTH, "x"))
-            else:
-                strings = ("", "", "")
-            rows.append((
-                u1, unique2, u1 % 2, u1 % 4, u1 % 10, u1 % 20,
-                one_percent, u1 % 10, u1 % 5, u1 % 2, u1,
-                one_percent * 2, normal_values[unique2],
-            ) + strings)
-        return rows
+        u1 = unique1.astype(np.int64, copy=False)
+        mod2 = u1 % 2
+        mod10 = u1 % 10
+        one_percent = u1 % 100
+        strings: tuple
+        if self.materialize_strings:
+            strings = (
+                [_unique_string(v) for v in u1.tolist()],
+                [_unique_string(v) for v in range(n)],
+                [_STRING4_PATTERNS[v % 4].ljust(WISCONSIN_STRING_WIDTH, "x")
+                 for v in range(n)])
+        else:
+            strings = (ConstColumn(""), ConstColumn(""), ConstColumn(""))
+        return ColumnPage.from_columns((
+            u1, np.arange(n, dtype=np.int64), mod2, u1 % 4, mod10,
+            u1 % 20, one_percent, mod10, u1 % 5, mod2, u1,
+            one_percent * 2, normal_column) + strings, n=n)
 
-    def sample_rows(self, rows: typing.Sequence[Row], k: int
-                    ) -> typing.Sequence[Row]:
+    def sample_rows(self, rows: ColumnPage, k: int) -> ColumnPage:
         """``k`` rows sampled without replacement — how the paper built
         the 10 000-tuple relation of §4.4 ("randomly selecting 10,000
         tuples from the 100,000 tuple relation")."""
@@ -174,7 +150,4 @@ class WisconsinGenerator:
             raise ValueError(
                 f"cannot sample {k} rows from {len(rows)}")
         indices = self._rng.choice(len(rows), size=k, replace=False)
-        keep = sorted(int(i) for i in indices)
-        if isinstance(rows, ColumnPage):
-            return rows.take(keep)
-        return [rows[i] for i in keep]
+        return rows.take(np.sort(indices))

@@ -78,3 +78,63 @@ class TestMetadata:
                        [[(0,) * 13 + ("",) * 3] * 12_500] * 8)
         assert big.cardinality == 100_000
         assert big.total_bytes == 20_800_000
+
+
+class TestRowsBuiltOnce:
+    """Generated fragments rest as columns; their tuple lists are built
+    once, by the first join, and reused by every later one."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        from repro.catalog.pages import ColumnPage
+        built: list = []
+        original = ColumnPage.rows
+
+        def counting(page):
+            built.append(len(page))
+            return original(page)
+
+        monkeypatch.setattr(ColumnPage, "rows", counting)
+        return built
+
+    @staticmethod
+    def fresh_db():
+        from repro.wisconsin.database import WisconsinDatabase
+        return WisconsinDatabase.joinabprime(4, scale=0.01, seed=3)
+
+    def test_size_arithmetic_and_iter_rows_build_nothing(self,
+                                                         monkeypatch):
+        built = self.count_builds(monkeypatch)
+        db = self.fresh_db()
+        for relation in (db.outer, db.inner):
+            assert relation.cardinality == sum(
+                1 for _ in relation.iter_rows())
+            assert relation.total_pages(8192) == sum(
+                relation.fragment_pages(i, 8192)
+                for i in range(relation.num_fragments))
+            assert len(relation.all_rows()) == relation.cardinality
+        assert built == []
+
+    def test_second_join_reuses_the_row_lists(self, monkeypatch):
+        from repro.core.joins import run_join
+        from repro.engine.machine import GammaMachine
+
+        built = self.count_builds(monkeypatch)
+        db = self.fresh_db()
+        first = run_join("hybrid", GammaMachine.local(4), db.outer,
+                         db.inner, join_attribute="unique1",
+                         memory_ratio=0.5)
+        assert sorted(built) == sorted(
+            len(fragment) for relation in (db.outer, db.inner)
+            for fragment in relation.fragments)
+        lists = [list(map(id, relation.fragments))
+                 for relation in (db.outer, db.inner)]
+        built.clear()
+        second = run_join("grace", GammaMachine.local(4), db.outer,
+                          db.inner, join_attribute="unique1",
+                          memory_ratio=0.5)
+        assert built == []
+        assert [list(map(id, relation.fragments))
+                for relation in (db.outer, db.inner)] == lists
+        assert second.result_tuples == first.result_tuples == \
+            db.expected_result_tuples

@@ -3,8 +3,7 @@
 Each kernel in :mod:`repro.core.backend` is held bit-for-bit to a
 per-element reference: the loops of the C engine ``cext`` that once
 mirrored them, transcribed to plain Python (uint64 wraparound by
-masking, a counting sort for group splits, a stable sort for arena
-ranges, bit-by-bit marks).  The inputs are the awkward ones: empty
+masking, a counting sort for group splits, bit-by-bit marks).  The inputs are the awkward ones: empty
 pages, all-duplicate keys and uint64 wraparound edges.
 """
 
@@ -75,25 +74,6 @@ class CextLoops:
             cursor[g] += 1
         return (_int64s(order), _int64s(starts), _int64s(ends),
                 _int64s(seg_groups))
-
-    @staticmethod
-    def arena_ranges(hashes):
-        hashes = [int(h) for h in hashes]
-        order = sorted(range(len(hashes)), key=hashes.__getitem__)
-        starts, ends, keys, widest = [], [], [], 0
-        i = 0
-        while i < len(order):
-            key = hashes[order[i]]
-            j = i + 1
-            while j < len(order) and hashes[order[j]] == key:
-                j += 1
-            starts.append(i)
-            ends.append(j)
-            keys.append(key)
-            widest = max(widest, j - i)
-            i = j
-        return (_int64s(order), _int64s(starts), _int64s(ends),
-                _int64s(keys), widest)
 
     @staticmethod
     def marks_word_bytes(slots, num_bits):
@@ -183,20 +163,6 @@ class TestKernelParity:
         groups = np.zeros(500, dtype=np.int64)
         assert_same(reference.split_groups(groups, 7),
                     backend.split_groups(groups), "all-dup")
-
-    @settings(max_examples=60, deadline=None)
-    @given(hashes=st.lists(
-        st.integers(min_value=0, max_value=2**32 - 1),
-        min_size=0, max_size=300).map(
-            lambda vals: np.asarray(vals, dtype=np.int64)))
-    def test_arena_ranges(self, reference, hashes):
-        assert_same(reference.arena_ranges(hashes),
-                    backend.arena_ranges(hashes), hashes)
-
-    def test_arena_ranges_all_duplicate_keys(self, reference):
-        hashes = np.full(257, 42, dtype=np.int64)
-        assert_same(reference.arena_ranges(hashes),
-                    backend.arena_ranges(hashes), "all-dup")
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(),

@@ -200,64 +200,3 @@ class TestSymmetryInvariant:
             expected_resident = [(r, hh) for (r, hh) in resident
                                  if r[0] == value]
             assert len(matches) == len(expected_resident)
-
-
-class TestProbeArenaThreshold:
-    """Undersized probe pages drop the arena to scalar chains once —
-    same charges and emits either way (the PR-8 small-packet
-    regression guard)."""
-
-    COSTS = (11.5e-6, 23.0e-6, 2.5e-6, 17.0e-6)
-
-    def _arena_table(self, build_keys):
-        from repro.catalog.pages import ColumnPage
-        table = JoinHashTable(max(1, len(build_keys)))
-        rows = [(k, f"inner{i}") for i, k in enumerate(build_keys)]
-        table.insert_page(ColumnPage.from_rows(rows),
-                          [hashing.hash_value(k) for k in build_keys])
-        return table
-
-    def _probe(self, table, probe_keys):
-        out: list = []
-        cpu = table.probe_page(
-            [(k, f"outer{i}") for i, k in enumerate(probe_keys)],
-            [hashing.hash_value(k) for k in probe_keys], 0, 0,
-            *self.COSTS, out.append)
-        return cpu, out
-
-    def test_small_page_materializes(self):
-        from repro.core import hash_table as ht
-        table = self._arena_table(list(range(40)))
-        assert table._arena is not None
-        cpu, out = self._probe(table,
-                               [3] * (ht.PROBE_ARENA_MIN_ROWS - 1))
-        assert table._arena is None  # dropped to scalar chains
-        assert len(out) == ht.PROBE_ARENA_MIN_ROWS - 1
-
-    def test_large_page_keeps_arena(self):
-        from repro.core import hash_table as ht
-        table = self._arena_table(list(range(40)))
-        cpu, out = self._probe(table,
-                               [3] * ht.PROBE_ARENA_MIN_ROWS)
-        assert table._arena is not None  # arena probe path
-        assert len(out) == ht.PROBE_ARENA_MIN_ROWS
-
-    @given(build_keys=st.lists(st.integers(0, 30), min_size=1,
-                               max_size=50),
-           probe_keys=st.lists(st.integers(0, 30), min_size=1,
-                               max_size=20))
-    @settings(max_examples=60, deadline=None)
-    def test_both_paths_bit_identical(self, build_keys, probe_keys):
-        small = self._arena_table(build_keys)
-        large = self._arena_table(build_keys)
-        assert len(probe_keys) < 32
-        cpu_scalar, out_scalar = self._probe(small, probe_keys)
-        # Force the arena path for the same page by probing through
-        # _probe_page_arena directly.
-        rows = [(k, f"outer{i}") for i, k in enumerate(probe_keys)]
-        hashes = [hashing.hash_value(k) for k in probe_keys]
-        out_arena: list = []
-        cpu_arena = large._probe_page_arena(
-            rows, hashes, 0, 0, *self.COSTS, out_arena.append)
-        assert out_arena == out_scalar
-        assert repr(cpu_arena) == repr(cpu_scalar)

@@ -21,7 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import hashing
-from repro.catalog.pages import ColumnPage
 from repro.core import kernels
 from repro.core.bit_filter import BitFilter, FilterBank
 from repro.core.hash_table import JoinHashTable
@@ -325,19 +324,19 @@ def test_insert_page_matches_scalar_protocol(keys, capacity, page_size):
 @given(build_keys=st.lists(st.integers(0, 50), min_size=0, max_size=60),
        probe_keys=st.lists(st.integers(0, 50), min_size=0, max_size=60))
 @example(build_keys=[], probe_keys=[1, 2])
-@example(build_keys=[5] * 40, probe_keys=[5, 6, 5])  # one arena range
+@example(build_keys=[5] * 40, probe_keys=[5, 6, 5])  # one long chain
 @settings(max_examples=100, deadline=None)
 def test_probe_page_matches_scalar_probe(build_keys, probe_keys):
     """CPU float and emitted result rows are bit-identical to the
-    scalar probe consumer's accumulation, on scalar chains and on the
-    columnar arena's hash-range index alike."""
+    scalar probe consumer's accumulation, whether the table was built
+    row by row or a page at a time."""
     build_rows = [(k, f"inner{i}") for i, k in enumerate(build_keys)]
     build_hashes = [hashing.hash_value(k) for k in build_keys]
     table = JoinHashTable(max(1, len(build_keys)))
     for row, h in zip(build_rows, build_hashes):
         table.insert(row, h)
-    arena = JoinHashTable(max(1, len(build_keys)))
-    arena.insert_page(ColumnPage.from_rows(build_rows), build_hashes)
+    paged = JoinHashTable(max(1, len(build_keys)))
+    paged.insert_page(build_rows, build_hashes)
     probe_rows = [(k, f"outer{i}") for i, k in enumerate(probe_keys)]
     probe_hashes = [hashing.hash_value(k) for k in probe_keys]
     tuple_receive, tuple_probe = 11.5e-6, 23.0e-6
@@ -361,13 +360,13 @@ def test_probe_page_matches_scalar_probe(build_keys, probe_keys):
     assert batch_out == scalar_out
     assert repr(batch_cpu) == repr(scalar_cpu)  # bit-identical float
 
-    arena_out: list = []
-    arena_cpu = arena._probe_page_arena(
+    paged_out: list = []
+    paged_cpu = paged.probe_page(
         probe_rows, probe_hashes, 0, 0, tuple_receive, tuple_probe,
-        tuple_chain_link, result_move, arena_out.append)
-    assert arena_out == scalar_out
-    assert repr(arena_cpu) == repr(scalar_cpu)
-    assert arena.max_chain == table.max_chain
+        tuple_chain_link, result_move, paged_out.append)
+    assert paged_out == scalar_out
+    assert repr(paged_cpu) == repr(scalar_cpu)
+    assert paged.max_chain == table.max_chain
 
 
 # ---------------------------------------------------------------------------

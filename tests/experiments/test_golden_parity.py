@@ -17,12 +17,9 @@ Both are checked with the fast paths on (default) and off
 kernel), so the switch itself is also covered.
 
 The vectorized page-batch data plane (``REPRO_VECTOR`` — see
-``repro.core.kernels``) and the columnar relation storage
-(``REPRO_COLUMNAR`` — see ``repro.catalog.pages``) make the same
-bit-parity promise: figure 5 runs the full FASTPATH × VECTOR ×
-COLUMNAR cube against the goldens; figures 7 and 14 (the slower
-sweeps) run a subset, each with a tuple-list (``REPRO_COLUMNAR=0``)
-spot check.
+``repro.core.kernels``) makes the same bit-parity promise: figure 5
+runs all four FASTPATH × VECTOR combinations against the goldens;
+figures 7 and 14 (the slower sweeps) run a subset.
 
 Every combination runs with ``REPRO_PROFILE=gamma-1989`` and
 ``REPRO_TOPOLOGY=token-ring`` pinned *explicitly*: the hardware
@@ -47,52 +44,48 @@ from repro.experiments.config import ExperimentConfig
 RESULTS = pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
 CONFIG = ExperimentConfig(scale=0.1, seed=1)
 
-#: (figure, REPRO_FASTPATH, REPRO_VECTOR, REPRO_COLUMNAR)
-#: combinations under test.  (0, 0, 0) is the seed code path; figure 5
-#: covers the full fastpath × vector × columnar cube; figures 7 and 14
-#: (the slower sweeps — figure14 is 36 remote points) run a subset,
-#: each anchored by one tuple-list (columnar=0) combo.
+#: (figure, REPRO_FASTPATH, REPRO_VECTOR) combinations under test.
+#: (0, 0) is the seed code path; figure 5 covers all four; figures 7
+#: and 14 (the slower sweeps — figure14 is 36 remote points) run a
+#: subset.
 SCENARIOS = [
-    ("figure5", fastpath, vector, columnar)
+    ("figure5", fastpath, vector)
     for fastpath in ("1", "0")
     for vector in ("1", "0")
-    for columnar in ("1", "0")
 ] + [
-    ("figure7", "1", "1", "1"),
-    ("figure7", "0", "1", "1"),
-    ("figure7", "1", "0", "1"),
-    ("figure7", "0", "0", "1"),
-    ("figure7", "1", "1", "0"),
-    ("figure14", "1", "1", "1"),
-    ("figure14", "0", "1", "1"),
-    ("figure14", "1", "1", "0"),
+    ("figure7", "1", "1"),
+    ("figure7", "0", "1"),
+    ("figure7", "1", "0"),
+    ("figure7", "0", "0"),
+    ("figure14", "1", "1"),
+    ("figure14", "0", "1"),
 ]
 RENDERED = [s for s in SCENARIOS if s[0] != "figure14"]
 
 
 def scenario_ids(scenarios) -> list[str]:
-    """Test ids ``<figure>-heap-<fastpath>-<vector>-<columnar>``.
+    """Test ids ``<figure>-heap-<fastpath>-<vector>-1``.
 
     ``heap`` names the binary-heap event scheduler every combo runs
-    on; the ids keep that label so each combo's name is stable in
-    test reports across releases of the kernel.
+    on and the trailing ``1`` the column-at-rest relation storage;
+    the ids keep both labels so each combo's name is stable in test
+    reports across releases of the kernel.
     """
-    return ["-".join([name, "heap", *flags])
+    return ["-".join([name, "heap", *flags, "1"])
             for name, *flags in scenarios]
 
 
 _CACHE: dict = {}
 
 
-def sweep(name: str, fastpath: str, vector: str, columnar: str,
+def sweep(name: str, fastpath: str, vector: str,
           monkeypatch) -> figures.Figure:
-    key = (name, fastpath, vector, columnar)
+    key = (name, fastpath, vector)
     if key not in _CACHE:
         monkeypatch.setenv("REPRO_PROFILE", "gamma-1989")
         monkeypatch.setenv("REPRO_TOPOLOGY", "token-ring")
         monkeypatch.setenv("REPRO_FASTPATH", fastpath)
         monkeypatch.setenv("REPRO_VECTOR", vector)
-        monkeypatch.setenv("REPRO_COLUMNAR", columnar)
         _CACHE[key] = getattr(figures, name)(CONFIG)
     return _CACHE[key]
 
@@ -103,11 +96,11 @@ def golden() -> dict:
         return json.load(fh)["figures"]
 
 
-@pytest.mark.parametrize("name,fastpath,vector,columnar", SCENARIOS,
+@pytest.mark.parametrize("name,fastpath,vector", SCENARIOS,
                          ids=scenario_ids(SCENARIOS))
-def test_bit_identical_to_golden(name, fastpath, vector, columnar,
-                                 golden, monkeypatch):
-    figure = sweep(name, fastpath, vector, columnar, monkeypatch)
+def test_bit_identical_to_golden(name, fastpath, vector, golden,
+                                 monkeypatch):
+    figure = sweep(name, fastpath, vector, monkeypatch)
     expected = golden[name]
     assert {s.label for s in figure.series} == set(expected)
     for series in figure.series:
@@ -116,8 +109,7 @@ def test_bit_identical_to_golden(name, fastpath, vector, columnar,
         for point in series.points:
             assert repr(point.response_time) == want[repr(point.x)], (
                 f"{name}/{series.label} diverged at x={point.x} "
-                f"(REPRO_FASTPATH={fastpath}, "
-                f"REPRO_VECTOR={vector}, REPRO_COLUMNAR={columnar})")
+                f"(REPRO_FASTPATH={fastpath}, REPRO_VECTOR={vector})")
 
 
 def _parse_rendered(path: pathlib.Path) -> dict[str, list[float]]:
@@ -143,11 +135,10 @@ def _parse_rendered(path: pathlib.Path) -> dict[str, list[float]]:
     return rows
 
 
-@pytest.mark.parametrize("name,fastpath,vector,columnar", RENDERED,
+@pytest.mark.parametrize("name,fastpath,vector", RENDERED,
                          ids=scenario_ids(RENDERED))
-def test_matches_rendered_report(name, fastpath, vector, columnar,
-                                 monkeypatch):
-    figure = sweep(name, fastpath, vector, columnar, monkeypatch)
+def test_matches_rendered_report(name, fastpath, vector, monkeypatch):
+    figure = sweep(name, fastpath, vector, monkeypatch)
     stored = _parse_rendered(RESULTS / f"{name}.txt")
     for series in figure.series:
         row = stored[series.label]

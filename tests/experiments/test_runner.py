@@ -50,6 +50,36 @@ class TestConfig:
         config = ExperimentConfig.from_environment(default_scale=0.5)
         assert config.scale == 0.5
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1.*{jobs}"):
+            ExperimentConfig(jobs=jobs)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            ExperimentConfig(scale=scale)
+
+    def test_environment_jobs_zero_rejected(self, monkeypatch):
+        # REPRO_JOBS=0 used to run in-process without a word.
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ExperimentConfig.from_environment()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["figure5", "--scale", "-1"], "scale must be positive"),
+        (["figure5", "--scale", "0"], "scale must be positive"),
+        (["figure5", "--jobs", "0"], "jobs must be >= 1"),
+    ])
+    def test_cli_turns_bad_config_into_usage_error(self, argv, message,
+                                                   capsys):
+        from repro.experiments.__main__ import main
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
+
 
 class TestSeries:
     def test_accessors(self):
@@ -179,7 +209,6 @@ class TestParallelSweep:
         run_sweep_points(dataclasses.replace(CONFIG, jobs=2),
                          self.JOBS[:2])
         key = (CONFIG.num_disk_nodes, CONFIG.scale, CONFIG.seed, True,
-               runner_module.columnar_enabled(),
                runner_module.resolve_profile_name(None),
                runner_module.resolve_topology_name(None))
         assert key in runner_module._DB_CACHE

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.catalog.pages import columnar_enabled
 from repro.core.kernels import vector_enabled
 from repro.sim import Simulator
 from repro.verify import verify_enabled
@@ -11,7 +10,6 @@ from repro.verify import verify_enabled
 GATES = [
     ("REPRO_FASTPATH", lambda: Simulator().fastpath, True),
     ("REPRO_VECTOR", vector_enabled, True),
-    ("REPRO_COLUMNAR", columnar_enabled, True),
     ("REPRO_VERIFY", verify_enabled, False),
 ]
 

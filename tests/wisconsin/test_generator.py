@@ -45,14 +45,14 @@ class TestRows:
             assert row[schema.index_of("unique3")] == row[0]
 
     def test_deterministic_per_seed(self):
-        a = WisconsinGenerator(seed=9).relation_rows(100)
-        b = WisconsinGenerator(seed=9).relation_rows(100)
+        a = WisconsinGenerator(seed=9).relation_rows(100).rows()
+        b = WisconsinGenerator(seed=9).relation_rows(100).rows()
         assert a == b
-        c = WisconsinGenerator(seed=10).relation_rows(100)
+        c = WisconsinGenerator(seed=10).relation_rows(100).rows()
         assert a != c
 
     def test_strings_placeholder_by_default(self):
-        rows = WisconsinGenerator(seed=1).relation_rows(10)
+        rows = WisconsinGenerator(seed=1).relation_rows(10).rows()
         assert rows[0][13:] == ("", "", "")
 
     def test_strings_materialized_on_request(self):
